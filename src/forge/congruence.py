@@ -13,11 +13,12 @@ Gamma_S factor, so they commute with the U_p-equivariance by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from . import linalg
+from . import kernel, linalg
 from .cyclotomic import cyclotomic_poly
 from .finitegroups import (
     DirectProduct,
@@ -32,7 +33,7 @@ from .finitegroups import (
 # ---------------------------------------------------------------------------
 
 
-class AmRing:
+class AmRing(kernel.IntPolyRing):
     """Z_p[T]/(1 + T + ... + T^(p^m - 1)) with coefficients mod p^K."""
 
     def __init__(self, p: int, m: int, K: Optional[int] = None):
@@ -40,65 +41,11 @@ class AmRing:
         if K < m:
             raise ValueError("coefficient precision K must be at least m")
         self.p, self.m, self.K = p, m, K
-        self.mod = p**K
-        self.deg = p**m - 1  # free rank over Z/p^K
+        super().__init__((1,) * p**m, p**K)  # free rank deg = p^m - 1 over Z/p^K
 
     # -- elements ---------------------------------------------------------
-    def zero(self) -> tuple:
-        return (0,) * self.deg
-
-    def one(self) -> tuple:
-        return (1,) + (0,) * (self.deg - 1)
-
     def from_coeffs(self, coeffs: Sequence[int]) -> tuple:
-        return self._reduce(list(coeffs))
-
-    def _reduce(self, coeffs: list[int]) -> tuple:
-        # T^deg = -(1 + T + ... + T^(deg-1))
-        if len(coeffs) < self.deg:
-            coeffs = coeffs + [0] * (self.deg - len(coeffs))
-        for k in range(len(coeffs) - 1, self.deg - 1, -1):
-            c = coeffs[k]
-            if c % self.mod:
-                coeffs[k] = 0
-                for j in range(k - self.deg, k):
-                    coeffs[j] -= c
-            else:
-                coeffs[k] = 0
-        return tuple(c % self.mod for c in coeffs[: self.deg])
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % self.mod for x, y in zip(a, b))
-
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple((-x) % self.mod for x in a)
-
-    def smul(self, n: int, a: tuple) -> tuple:
-        return tuple(n * x % self.mod for x in a)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        prod = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduce(prod)
-
-    def pow(self, a: tuple, e: int) -> tuple:
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def is_zero(self, a: tuple) -> bool:
-        return all(x % self.mod == 0 for x in a)
+        return self.reduce(list(coeffs))
 
     # -- the character and the quotient ------------------------------------
     def psi(self, a: int) -> tuple:
@@ -106,7 +53,7 @@ class AmRing:
         a %= self.p**self.m
         if a < self.deg:
             return tuple(1 if i == a else 0 for i in range(self.deg))
-        return self._reduce([0] * a + [1])
+        return self.reduce([0] * a + [1])
 
     def mod_T_minus_1(self, a: tuple) -> int:
         """Evaluation at T = 1, valued in Z/p^m."""
@@ -268,17 +215,9 @@ class FiniteModel:
                 for up in self.u_p:
                     if self.act(z0, (us, up)) == z0:
                         images.add(self.lam[up])
-            g = mod
-            for img in images:
-                x, y = g, img
-                while y:
-                    x, y = y, x % y
-                g = x
-            t = 0
-            while g % self.p == 0:
-                g //= self.p
-                t += 1
-            assert g == 1  # the image subgroup of Z/p^m is p^t Z/p^m
+            g = math.gcd(mod, *images)
+            t = kernel.vp(g, self.p)
+            assert g == self.p**t  # the image subgroup of Z/p^m is p^t Z/p^m
             stab_exponents.append(t)
         return tuple(reps), orbit_index, lam_to, tuple(stab_exponents)
 
@@ -340,10 +279,8 @@ def builtin_free_model(p: int, m: int) -> FiniteModel:
     gamma_s = SymmetricGroup(3)
     gamma_p = DirectProduct(HeisenbergGroup(p), CyclicGroup(p**m))
     swap = (1, 0, 2)
-    heis_gens = [((1, 0, 0), 0), ((0, 1, 0), 0)]
     u_p_gens = [(h, c) for (h, c) in [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 0), 1)]]
     lam_images = [p ** (m - 1) % p**m, 0, 1]
-    del heis_gens
     return FiniteModel(
         gamma_s,
         gamma_p,
@@ -646,12 +583,7 @@ def quotient_map_check(model: FiniteModel) -> tuple[bool, dict]:
     for j, t in enumerate(space.stab_exponents):
         basis = space.orbit_bases[j]
         classes = [ring.mod_T_minus_1(b) for b in basis]
-        g = p**m
-        for c in classes:
-            x, y = g, c % p**m
-            while y:
-                x, y = y, x % y
-            g = x
+        g = math.gcd(p**m, *classes)
         image_size = p**m // g if g else 1
         surj = g == 1
         # size of the (T-1)-quotient of the orbit module, via the exact
@@ -666,11 +598,7 @@ def quotient_map_check(model: FiniteModel) -> tuple[bool, dict]:
             ]
             mat = linalg.mat_freeze(list(zip(*cols)))  # columns -> matrix
             d = linalg.det(mat) % ring.mod
-            v = 0
-            while d and d % p == 0:
-                d //= p
-                v += 1
-            quot_size = p**v
+            quot_size = p ** kernel.vp(d, p) if d else 1
         else:
             quot_size = 1
         rows.append(
@@ -733,11 +661,7 @@ def trivial_action_level(rep: MatrixRep, p: int) -> int:
         for row_m, row_i in zip(mat, ident):
             for x, y in zip(row_m, row_i):
                 d = (x - y) % p**rep.K
-                v = rep.K if d == 0 else 0
-                while d and d % p == 0:
-                    d //= p
-                    v += 1
-                best = min(best, v)
+                best = min(best, kernel.vp(d, p) if d else rep.K)
     return best
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import kernel
 from .cyclotomic import CycloInt
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
@@ -58,13 +59,7 @@ def mat_trace(a: Mat):
 
 
 def vp(n: int, p: int) -> int:
-    if n == 0:
-        return 10**9
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return kernel.vp(n, p) if n else 10**9
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ffield import BaseField
+from . import kernel
+from .ffield import build_extension
 
 # ---------------------------------------------------------------------------
 # windows and lattices
@@ -137,14 +139,7 @@ class LevelMap:
 
     def image_subgroup_index(self) -> int:
         """Index of the generated image subgroup in Z/p^m."""
-        mod = self.p**self.m
-        g = mod
-        for img in self.images:
-            x, y = g, img % mod
-            while y:
-                x, y = y, x % y
-            g = x
-        return g
+        return math.gcd(self.p**self.m, *self.images)
 
     @property
     def surjective(self) -> bool:
@@ -243,12 +238,13 @@ def combine_product(maps: Sequence[LevelMap]) -> LevelMap:
 # ---------------------------------------------------------------------------
 
 
-class TruncatedRing:
+class TruncatedRing(kernel.PolyRing):
     """O_E / pi^(e*K) for E tame of ramification index e over an absolutely
     unramified base with residue field F_q, coefficients mod p^K.
 
     Elements are e-tuples of f-tuples of ints mod p^K (x-adic digits of
-    y-adic digits), with x^e = p.
+    y-adic digits), with x^e = p: the ring R[x]/(x^e - p) over the Galois
+    ring R = GR(p^K, f), which lifts the F_q modulus to Z/p^K.
     """
 
     def __init__(self, p: int, f: int, e: int, K: int):
@@ -256,89 +252,15 @@ class TruncatedRing:
             raise ValueError("tame ramified model requires p > e + 1")
         self.p, self.f, self.e, self.K = p, f, e, K
         self.mod = p**K
-        base = BaseField(p, f)
-        if f == 1:
-            self.g_mod: Optional[tuple[int, ...]] = None
-        else:
-            self.g_mod = tuple(int(c) for c in base.modulus)  # lift of F_q modulus
-
-    # -- unramified coefficient ring R = GR(p^K, f) -----------------------
-    def r_zero(self):
-        return (0,) * self.f
-
-    def r_one(self):
-        return (1,) + (0,) * (self.f - 1)
-
-    def r_from_int(self, n: int):
-        return (n % self.mod,) + (0,) * (self.f - 1)
-
-    def r_add(self, a, b):
-        return tuple((x + y) % self.mod for x, y in zip(a, b))
-
-    def r_sub(self, a, b):
-        return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def r_mul(self, a, b):
-        f = self.f
-        if f == 1:
-            return (a[0] * b[0] % self.mod,)
-        prod = [0] * (2 * f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.mod
-        for i in range(len(prod) - 1, f - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(f):
-                    prod[i - f + j] = (prod[i - f + j] - c * self.g_mod[j]) % self.mod
-        return tuple(prod[:f])
-
-    # -- full ring S = R[x]/(x^e - p) --------------------------------------
-    def zero(self):
-        return (self.r_zero(),) * self.e
-
-    def one(self):
-        return (self.r_one(),) + (self.r_zero(),) * (self.e - 1)
-
-    def add(self, a, b):
-        return tuple(self.r_add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.r_sub(x, y) for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        e = self.e
-        acc = [self.r_zero() for _ in range(e)]
-        for i, x in enumerate(a):
-            if any(x):
-                for j, y in enumerate(b):
-                    if any(y):
-                        term = self.r_mul(x, y)
-                        k = i + j
-                        if k >= e:
-                            k -= e
-                            term = tuple(t * self.p % self.mod for t in term)
-                        acc[k] = self.r_add(acc[k], term)
-        return tuple(acc)
-
-    def pow(self, a, n: int):
-        out = self.one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        R = kernel.IntPolyRing(build_extension(p, 1, f).modulus, self.mod)
+        super().__init__(R, (R.reduce([-p]),) + (R.zero(),) * (e - 1) + (R.one(),))
 
     def uniformizer_power(self, j: int):
         """pi^j = x^(j mod e) * p^(j // e) as a ring element."""
         hi, lo = divmod(j, self.e)
         coeff = pow(self.p, hi, self.mod) if hi else 1
-        vec = [self.r_zero() for _ in range(self.e)]
-        vec[lo] = self.r_from_int(coeff)
+        vec = [self.ring.zero() for _ in range(self.e)]
+        vec[lo] = self.ring.reduce([coeff])
         return tuple(vec)
 
     def basis(self):
@@ -346,7 +268,7 @@ class TruncatedRing:
         out = []
         for t in range(self.e):
             for i in range(self.f):
-                vec = [self.r_zero() for _ in range(self.e)]
+                vec = [self.ring.zero() for _ in range(self.e)]
                 coeff = [0] * self.f
                 coeff[i] = 1
                 vec[t] = tuple(coeff)
@@ -363,13 +285,14 @@ class TruncatedRing:
         for t in range(e):
             cols.append(self.mul(a, basis_x[t]))
         # det over the commutative coefficient ring, Leibniz expansion
-        total = self.r_zero()
+        R = self.ring
+        total = R.zero()
         for perm in itertools.permutations(range(e)):
             sign = _perm_sign(perm)
-            term = self.r_one()
-            for col in range(e):
-                term = self.r_mul(term, cols[col][perm[col]])
-            total = self.r_add(total, term) if sign > 0 else self.r_sub(total, term)
+            term = cols[0][perm[0]]
+            for col in range(1, e):
+                term = R.mul(term, cols[col][perm[col]])
+            total = R.add(total, term) if sign > 0 else R.sub(total, term)
         return total
 
 

@@ -9,12 +9,13 @@ multiplicative generators, special elements) reproducible.
 
 from __future__ import annotations
 
-import itertools
 import json
 from functools import lru_cache
 from typing import Iterator, Optional
 
 import sympy
+
+from . import kernel
 
 _FACTOR_EFFORT_BOUND = 10**40
 
@@ -33,7 +34,8 @@ class BaseField:
         if f == 1:
             self.modulus: Optional[tuple[int, ...]] = None
         else:
-            self.modulus = _smallest_irreducible_prime_field(p, f)
+            self.modulus = build_extension(p, 1, f).modulus
+            self._ring = kernel.IntPolyRing(self.modulus, p)
 
     # -- element plumbing ------------------------------------------------
     def zero(self):
@@ -80,24 +82,7 @@ class BaseField:
     def mul(self, a, b):
         if self.f == 1:
             return a * b % self.p
-        prod = [0] * (2 * self.f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._reduce(prod)
-
-    def _reduce(self, prod: list[int]):
-        mod = self.modulus
-        assert mod is not None
-        dm = self.f
-        for i in range(len(prod) - 1, dm - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(dm):
-                    prod[i - dm + j] = (prod[i - dm + j] - c * mod[j]) % self.p
-        return tuple(prod[:dm])
+        return self._ring.mul(a, b)
 
     def smul(self, n: int, a):
         if self.f == 1:
@@ -114,95 +99,10 @@ class BaseField:
             return self.pow(self.inv(a), -e)
         if not self.is_zero(a):
             e %= self.q - 1
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return kernel.power(self.mul, a, e, self.one())
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-
-def _prime_field_polmul(p: int, a: tuple, b: tuple, mod: tuple) -> tuple:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    dm = len(mod) - 1
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(dm):
-                prod[i - dm + j] = (prod[i - dm + j] - c * mod[j]) % p
-    out = list(prod[:dm])
-    out += [0] * (dm - len(out))
-    return tuple(out)
-
-
-def _prime_field_powmod(p: int, a: tuple, e: int, mod: tuple) -> tuple:
-    r = (1,) + (0,) * (len(mod) - 2)
-    b = tuple(a)
-    while e:
-        if e & 1:
-            r = _prime_field_polmul(p, r, b, mod)
-        b = _prime_field_polmul(p, b, b, mod)
-        e >>= 1
-    return r
-
-
-@lru_cache(maxsize=None)
-def _smallest_irreducible_prime_field(p: int, n: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree n over F_p in encoding order."""
-    for enc in itertools.count(0):
-        digits, e = [], enc
-        for _ in range(n):
-            digits.append(e % p)
-            e //= p
-        if e:
-            raise ValueError("no irreducible polynomial found")  # unreachable
-        mod = tuple(digits) + (1,)
-        if _is_irreducible_prime_field(p, mod):
-            return mod
-    raise AssertionError
-
-
-def _is_irreducible_prime_field(p: int, mod: tuple[int, ...]) -> bool:
-    n = len(mod) - 1
-    if n == 1:
-        return True
-    x = (0, 1) + (0,) * (n - 2)
-    if _prime_field_powmod(p, x, p**n, mod) != x:
-        return False
-    for ell in sympy.primefactors(n):
-        y = _prime_field_powmod(p, x, p ** (n // ell), mod)
-        diff = tuple((a - b) % p for a, b in zip(y, x))
-        if _poly_gcd_degree(p, list(diff), list(mod)) > 0:
-            return False
-    return True
-
-
-def _poly_gcd_degree(p: int, a: list[int], b: list[int]) -> int:
-    def deg(u):
-        for i in range(len(u) - 1, -1, -1):
-            if u[i]:
-                return i
-        return -1
-
-    while deg(a) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        c = a[da] * pow(b[db], -1, p) % p
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-    return deg(b)
 
 
 class FieldExtension:
@@ -214,89 +114,12 @@ class FieldExtension:
         self.base = BaseField(p, f)
         self.p, self.f, self.n = p, f, n
         self.q = self.base.q
-        self.modulus = self._find_modulus()
+        self.modulus = kernel.smallest_irreducible(self.base, n)
+        self._ring = kernel.PolyRing(self.base, self.modulus)
         self._frobenius_matrix = self._build_frobenius_matrix()
         self._generator: Optional[tuple] = None
 
     # -- construction ----------------------------------------------------
-    def _find_modulus(self) -> tuple:
-        base = self.base
-        if self.n == 1:
-            # x - c with c the smallest non-residue-free choice: x itself.
-            return (base.zero(), base.one())
-        for enc in itertools.count(0):
-            digits, e = [], enc
-            for _ in range(self.n):
-                digits.append(base.from_int(e % self.q))
-                e //= self.q
-            mod = tuple(digits) + (base.one(),)
-            if self._is_irreducible(mod):
-                return mod
-        raise AssertionError
-
-    def _polmul(self, a: tuple, b: tuple, mod: tuple) -> tuple:
-        base = self.base
-        prod = [base.zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not base.is_zero(x):
-                for j, y in enumerate(b):
-                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        dm = len(mod) - 1
-        for i in range(len(prod) - 1, dm - 1, -1):
-            c = prod[i]
-            if not base.is_zero(c):
-                prod[i] = base.zero()
-                for j in range(dm):
-                    prod[i - dm + j] = base.sub(prod[i - dm + j], base.mul(c, mod[j]))
-        out = list(prod[:dm])
-        out += [base.zero()] * (dm - len(out))
-        return tuple(out)
-
-    def _powmod(self, a: tuple, e: int, mod: tuple) -> tuple:
-        base = self.base
-        r = tuple([base.one()] + [base.zero()] * (len(mod) - 2))
-        b = tuple(a)
-        while e:
-            if e & 1:
-                r = self._polmul(r, b, mod)
-            b = self._polmul(b, b, mod)
-            e >>= 1
-        return r
-
-    def _is_irreducible(self, mod: tuple) -> bool:
-        base = self.base
-        n = len(mod) - 1
-        if n == 1:
-            return True
-        x = tuple([base.zero(), base.one()] + [base.zero()] * (n - 2))
-        if self._powmod(x, self.q**n, mod) != x:
-            return False
-        for ell in sympy.primefactors(n):
-            y = self._powmod(x, self.q ** (n // ell), mod)
-            diff = [base.sub(u, v) for u, v in zip(y, x)]
-            if self._ext_gcd_degree(diff, list(mod)) > 0:
-                return False
-        return True
-
-    def _ext_gcd_degree(self, a: list, b: list) -> int:
-        base = self.base
-
-        def deg(u):
-            for i in range(len(u) - 1, -1, -1):
-                if not base.is_zero(u[i]):
-                    return i
-            return -1
-
-        while deg(a) >= 0:
-            da, db = deg(a), deg(b)
-            if da < db:
-                a, b = b, a
-                continue
-            c = base.mul(a[da], base.inv(b[db]))
-            for j in range(db + 1):
-                a[da - db + j] = base.sub(a[da - db + j], base.mul(c, b[j]))
-        return deg(b)
-
     def _build_frobenius_matrix(self) -> tuple:
         # sigma is F_q-linear; precompute images of the power basis.
         x = self.gen_x()
@@ -358,7 +181,7 @@ class FieldExtension:
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        return self._polmul(a, b, self.modulus)
+        return self._ring.mul(a, b)
 
     def smul(self, n: int, a):
         return tuple(self.base.smul(n, x) for x in a)
@@ -366,7 +189,7 @@ class FieldExtension:
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        return self._powmod(a, e, self.modulus)
+        return self._ring.pow(a, e)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -481,14 +304,3 @@ def extension_from_json(text: str) -> FieldExtension:
         raise ValueError("modulus mismatch: non-canonical serialized extension")
     return ext
 
-
-def frobenius(ext: FieldExtension, x: tuple, k: int = 1) -> tuple:
-    return ext.frobenius(x, k)
-
-
-def find_trace_zero_generator(ext: FieldExtension) -> tuple:
-    return ext.find_trace_zero_generator()
-
-
-def generator_power(ext: FieldExtension, exponent: int) -> tuple:
-    return ext.generator_power(exponent)

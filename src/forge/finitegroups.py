@@ -13,7 +13,7 @@ from typing import Iterable
 
 
 class FiniteGroup:
-    """Base: subclasses define identity, mul, inv, elements, generators."""
+    """Base: subclasses define identity, mul and elements."""
 
     def identity(self):
         raise NotImplementedError
@@ -21,17 +21,11 @@ class FiniteGroup:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
     @cached_property
     def elements(self) -> tuple:
         return tuple(sorted(self._elements()))
 
     def _elements(self) -> Iterable:
-        raise NotImplementedError
-
-    def generators(self) -> tuple:
         raise NotImplementedError
 
     @property
@@ -70,23 +64,10 @@ class SymmetricGroup(FiniteGroup):
         # (a*b)(x) = a(b(x)): right factor acts first
         return tuple(a[b[i]] for i in range(self.n))
 
-    def inv(self, a):
-        out = [0] * self.n
-        for i, img in enumerate(a):
-            out[img] = i
-        return tuple(out)
-
     def _elements(self):
         import itertools
 
         return itertools.permutations(range(self.n))
-
-    def generators(self):
-        if self.n == 1:
-            return (self.identity(),)
-        swap = (1, 0) + tuple(range(2, self.n))
-        cycle = tuple(range(1, self.n)) + (0,)
-        return (swap, cycle)
 
     def to_config(self):
         return {"kind": "symmetric", "n": self.n}
@@ -102,14 +83,8 @@ class CyclicGroup(FiniteGroup):
     def mul(self, a, b):
         return (a + b) % self._order
 
-    def inv(self, a):
-        return (-a) % self._order
-
     def _elements(self):
         return range(self._order)
-
-    def generators(self):
-        return (1 % self._order,)
 
     def to_config(self):
         return {"kind": "cyclic", "order": self._order}
@@ -129,16 +104,9 @@ class HeisenbergGroup(FiniteGroup):
         d, e, f = y
         return ((a + d) % self.p, (b + e) % self.p, (c + f + a * e) % self.p)
 
-    def inv(self, x):
-        a, b, c = x
-        return ((-a) % self.p, (-b) % self.p, (a * b - c) % self.p)
-
     def _elements(self):
         p = self.p
         return ((a, b, c) for a in range(p) for b in range(p) for c in range(p))
-
-    def generators(self):
-        return ((1, 0, 0), (0, 1, 0))
 
     def to_config(self):
         return {"kind": "heisenberg", "p": self.p}
@@ -155,17 +123,8 @@ class DirectProduct(FiniteGroup):
     def mul(self, a, b):
         return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
 
-    def inv(self, a):
-        return (self.left.inv(a[0]), self.right.inv(a[1]))
-
     def _elements(self):
         return ((x, y) for x in self.left.elements for y in self.right.elements)
-
-    def generators(self):
-        el, er = self.left.identity(), self.right.identity()
-        return tuple((g, er) for g in self.left.generators()) + tuple(
-            (el, g) for g in self.right.generators()
-        )
 
     def to_config(self):
         return {

@@ -1,0 +1,196 @@
+"""Exact arithmetic modulo a monic polynomial, shared by forge's rings.
+
+Those rings are F_p[y]/(g), the Galois ring GR(p^K, f) = Z/p^K[y]/(g~)
+and Z/p^K[T]/(1 + T + ... + T^(p^m - 1)) with int coefficients, and
+F_q[x]/(h) and R[x]/(x^e - p) over a coefficient-ring object; the module
+also holds square-and-multiply, Rabin's irreducibility test with the
+modulus search, and the p-adic valuation.
+
+Polynomials are little-endian tuples; a modulus lists every coefficient,
+the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
+x^deg = -(h_0 + h_1 x + ...), as a table built once, so a reduction step
+touches only the terms the modulus has.
+
+A coefficient-ring object provides zero(), one(), add, sub and mul, and
+keeps its elements canonical, so that equality is ring equality; a field
+used by the irreducibility routines also provides q, is_zero, inv and
+from_int.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import sympy
+
+
+class IntPolyRing:
+    """Z/mod[x]/(h) for a monic h with int coefficients.
+
+    Products accumulate over Z; a coefficient is reduced mod `mod` only when
+    it is eliminated and once at the end, so outputs lie in [0, mod).
+    """
+
+    def __init__(self, modulus: Sequence[int], mod: int):
+        self.mod = mod
+        self.deg = len(modulus) - 1
+        # x^deg = sum of t * x^j over the (j, t) in the tail
+        self.tail = tuple((j, -c % mod) for j, c in enumerate(modulus[:-1]) if c % mod)
+
+    def zero(self) -> tuple:
+        return (0,) * self.deg
+
+    def one(self) -> tuple:
+        return (1,) + (0,) * (self.deg - 1)
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x + y) % self.mod for x, y in zip(a, b))
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x - y) % self.mod for x, y in zip(a, b))
+
+    def is_zero(self, a: tuple) -> bool:
+        return not any(a)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                k = i
+                for y in b:
+                    prod[k] += x * y
+                    k += 1
+        return self.reduce(prod)
+
+    def reduce(self, coeffs: list[int]) -> tuple:
+        """The residue of an int polynomial of any length; consumes `coeffs`."""
+        mod, deg, tail = self.mod, self.deg, self.tail
+        if len(coeffs) < deg:
+            coeffs += [0] * (deg - len(coeffs))
+        for i in range(len(coeffs) - 1, deg - 1, -1):
+            c = coeffs[i] % mod
+            if c:
+                shift = i - deg
+                for j, t in tail:
+                    coeffs[shift + j] += c * t
+        return tuple([c % mod for c in coeffs[:deg]])
+
+    def pow(self, a: tuple, e: int) -> tuple:
+        return power(self.mul, a, e, self.one())
+
+
+class PolyRing:
+    """R[x]/(h) for a monic h over a coefficient-ring object R."""
+
+    def __init__(self, ring, modulus: Sequence):
+        self.ring = ring
+        self.deg = len(modulus) - 1
+        self.tail = tuple((j, c) for j, c in enumerate(modulus[:-1]) if c != ring.zero())
+
+    def one(self) -> tuple:
+        return (self.ring.one(),) + (self.ring.zero(),) * (self.deg - 1)
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple(self.ring.add(x, y) for x, y in zip(a, b))
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return tuple(self.ring.sub(x, y) for x, y in zip(a, b))
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        ring, deg = self.ring, self.deg
+        add, sub, mul = ring.add, ring.sub, ring.mul
+        zero = ring.zero()  # canonical, so comparing with it is the zero test
+        prod = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b):
+                    if y != zero:
+                        prod[i + j] = add(prod[i + j], mul(x, y))
+        for i in range(len(prod) - 1, deg - 1, -1):
+            c = prod[i]
+            if c != zero:
+                shift = i - deg
+                for j, t in self.tail:
+                    prod[shift + j] = sub(prod[shift + j], mul(t, c))
+        return tuple(prod[:deg]) + (zero,) * (deg - len(prod))
+
+    def pow(self, a: tuple, e: int) -> tuple:
+        return power(self.mul, a, e, self.one())
+
+
+def power(mul: Callable, a, e: int, one):
+    """a^e for e >= 0 by square-and-multiply under the product `mul`."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
+
+
+def gcd_degree(field, a: list, b: list) -> int:
+    """Degree of gcd(a, b) over `field`, -1 when both are zero; consumes a, b."""
+
+    def deg(u):
+        for i in range(len(u) - 1, -1, -1):
+            if not field.is_zero(u[i]):
+                return i
+        return -1
+
+    while deg(a) >= 0:
+        da, db = deg(a), deg(b)
+        if da < db:
+            a, b = b, a
+            continue
+        c = field.mul(a[da], field.inv(b[db]))
+        for j in range(db + 1):
+            a[da - db + j] = field.sub(a[da - db + j], field.mul(c, b[j]))
+    return deg(b)
+
+
+def is_irreducible(field, modulus: tuple) -> bool:
+    """Rabin's test for a monic modulus of degree n over F_q = `field`."""
+    n = len(modulus) - 1
+    if n == 1:
+        return True
+    ring = PolyRing(field, modulus)
+    zero = field.zero()
+    x = (zero, field.one()) + (zero,) * (n - 2)
+    if ring.pow(x, field.q**n) != x:
+        return False
+    for ell in sympy.primefactors(n):
+        y = ring.pow(x, field.q ** (n // ell))
+        if gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
+            return False
+    return True
+
+
+def smallest_irreducible(field, n: int) -> tuple:
+    """The smallest monic irreducible of degree n over `field`.
+
+    Candidates run in encoding order: the i-th coefficient is the i-th
+    base-q digit of the candidate's index.
+    """
+    q = field.q
+    for enc in range(q**n):
+        digits = []
+        for _ in range(n):
+            digits.append(field.from_int(enc % q))
+            enc //= q
+        modulus = tuple(digits) + (field.one(),)
+        if is_irreducible(field, modulus):
+            return modulus
+    raise ArithmeticError(f"no monic irreducible of degree {n} over F_{q}")
+
+
+def vp(n: int, p: int) -> int:
+    """The p-adic valuation of a nonzero int; callers decide what 0 means."""
+    if n == 0:
+        raise ValueError("the valuation of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

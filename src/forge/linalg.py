@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import kernel
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -48,15 +50,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
-    n = len(a)
-    result = identity(n)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
+    return kernel.power(mat_mul, a, e, identity(len(a)))
 
 
 def mat_transpose(a: Matrix) -> Matrix:

@@ -122,11 +122,6 @@ class Coroot:
     expansion: Vector
 
     @property
-    def vector(self) -> Vector:
-        # Ambient lattice is the simple-coroot basis itself.
-        return self.expansion
-
-    @property
     def height(self) -> int:
         return sum(self.expansion)
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import sympy
 
-from . import linalg
+from . import kernel, linalg
 from .ffield import FieldExtension, build_extension
 from .rootsys import (
     DiagramAutomorphism,
@@ -418,7 +418,7 @@ def _q_to_p_f(q: int) -> tuple[int, int]:
     return int(p), int(f)
 
 
-def _unit_terms(ext: ExtensionSpec, residues: Sequence[tuple]) -> tuple[TameLeadingTerm, ...]:
+def _unit_terms(residues: Sequence[tuple]) -> tuple[TameLeadingTerm, ...]:
     return tuple(TameLeadingTerm(Fraction(0), r) for r in residues)
 
 
@@ -528,7 +528,7 @@ def build_generic_element(
         )
         if ramified:
             spec = ExtensionSpec.ramified_quadratic(p, f)
-            coords = _unit_terms(spec, [spec.residue.one()] * rs.rank)
+            coords = _unit_terms([spec.residue.one()] * rs.rank)
             datum = ZeroToralDatum(
                 rs, delta, cocycle, spec, p, q, n,
                 Fraction(2 * n + 1, 2), coords, "Case1-ram",
@@ -536,7 +536,7 @@ def build_generic_element(
         else:
             spec = ExtensionSpec.unramified(p, f, 2)
             a = spec.residue.find_trace_zero_generator()
-            coords = _unit_terms(spec, [a] * rs.rank)
+            coords = _unit_terms([a] * rs.rank)
             datum = ZeroToralDatum(
                 rs, delta, cocycle, spec, p, q, n,
                 Fraction(n + 1), coords, "Case1-unram",
@@ -545,9 +545,7 @@ def build_generic_element(
         spec = ExtensionSpec.unramified(p, f, rs_type.rank + 1)
         res = spec.residue
         a = res.find_trace_zero_generator()
-        coords = _unit_terms(
-            spec, [res.frobenius(a, i) for i in range(rs_type.rank)]
-        )
+        coords = _unit_terms([res.frobenius(a, i) for i in range(rs_type.rank)])
         w = weyl_from_word(rs, range(1, rs.rank + 1))
         datum = ZeroToralDatum(
             rs, delta, w, spec, p, q, n, Fraction(n + 1), coords, "A"
@@ -557,7 +555,7 @@ def build_generic_element(
         w = weyl_from_word(rs, range(1, rs.rank + 1))
         datum = ZeroToralDatum(
             rs, delta, w, spec, p, q, n, Fraction(n + 1),
-            _unit_terms(spec, residues), "Dodd",
+            _unit_terms(residues), "Dodd",
         )
     elif rs_type.family == "E" and rs_type.rank == 6:
         use_ramified = ramified or q % 3 == 1
@@ -568,13 +566,13 @@ def build_generic_element(
             spec, residues = build_e6_coordinates("ramified_cubic", q)
             datum = ZeroToralDatum(
                 rs, delta, w, spec, p, q, n, Fraction(3 * n + 1, 3),
-                _unit_terms(spec, residues), "E6-ram",
+                _unit_terms(residues), "E6-ram",
             )
         else:
             spec, residues = build_e6_coordinates("unramified_cubic", q)
             datum = ZeroToralDatum(
                 rs, delta, w, spec, p, q, n, Fraction(n + 1),
-                _unit_terms(spec, residues), "E6-unram",
+                _unit_terms(residues), "E6-unram",
             )
     else:
         raise ValueError(f"no construction dispatchable for {rs_type} with this form")
@@ -700,12 +698,7 @@ def twist_datum(
         p0 = first.p
         if not 0 < i < p0**m:
             raise ValueError("i must satisfy 0 < i < p^m")
-        t0 = 0
-        unit0 = i
-        while unit0 % p0 == 0:
-            unit0 //= p0
-            t0 += 1
-        v0 = Fraction(t0 * e_F)
+        v0 = Fraction(kernel.vp(i, p0) * e_F)
         if not d.depths[0] - v0 > d.depths[-1] / 2:
             raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
         twisted = []
@@ -726,11 +719,8 @@ def twist_datum(
     p = d.p
     if not 0 < i < p**m:
         raise ValueError("i must satisfy 0 < i < p^m")
-    t = 0
-    unit = i
-    while unit % p == 0:
-        unit //= p
-        t += 1
+    t = kernel.vp(i, p)
+    unit = i // p**t
     v = Fraction(t * e_F)
     r0 = rd = d.depth
     if not r0 - v > rd / 2:

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from forge.congruence import (
     MatrixRep,
@@ -33,7 +32,6 @@ from forge.cuspcheck import (
     x_class_representatives,
 )
 from forge.depthcalc import character_image_order, unramified_torus_lattice
-from forge.ffield import build_extension
 from forge.rootsys import (
     RootSystemType,
     build_root_system,
@@ -188,41 +186,21 @@ def test_criterion_05_highest_coroot_identity():
     announce(5, "highest-coroot-identity", ok)
 
 
-def test_criterion_06_trace_zero_witnesses():
-    pairs = []
-    for q in range(2, 1001):
-        fac = sympy.factorint(q)
-        if len(fac) != 1:
-            continue
-        p, f = next(iter(fac.items()))
-        n = 2
-        while q**n <= 10**6:
-            if n % p:
-                pairs.append((int(p), int(f), n))
-            n += 1
-    ok = len(pairs) > 100
+def test_criterion_06_trace_zero_witnesses(trace_zero_battery):
+    ok = len(trace_zero_battery) > 100
     checked_exhaustive = 0
-    for p, f, n in pairs:
-        ext = build_extension(p, f, n)
-        e = ext.find_trace_zero_generator()
+    for ext, e, witnesses in trace_zero_battery:
         ok = ok and not ext.is_zero(e)
         ok = ok and ext.is_zero(ext.trace(e))
-        ok = ok and ext.minimal_polynomial_degree(e) == n
-        if ext.q**n <= 10**4:
-            witnesses = [
-                a
-                for a in ext.elements()
-                if not ext.is_zero(a)
-                and ext.is_zero(ext.trace(a))
-                and ext.minimal_polynomial_degree(a) == n
-            ]
+        ok = ok and ext.minimal_polynomial_degree(e) == ext.n
+        if witnesses is not None:
             ok = ok and witnesses and e in witnesses
             checked_exhaustive += 1
     announce(
         6,
         "trace-zero-witnesses",
         bool(ok),
-        f"{len(pairs)} extensions, {checked_exhaustive} exhaustive",
+        f"{len(trace_zero_battery)} extensions, {checked_exhaustive} exhaustive",
     )
 
 

@@ -104,37 +104,15 @@ def test_trace_zero_witness_precondition_violations():
         build_extension(3, 1, 1).find_trace_zero_generator()
 
 
-def test_trace_zero_sweep_small():
+def test_trace_zero_sweep_small(trace_zero_battery):
     # all prime powers q and degrees n >= 2 with q^n <= 10^6 and p not | n
-    import sympy
-
-    pairs = []
-    for q in range(2, 1001):
-        fac = sympy.factorint(q)
-        if len(fac) != 1:
-            continue
-        p, f = next(iter(fac.items()))
-        n = 2
-        while q**n <= 10**6:
-            if n % p:
-                pairs.append((p, f, n))
-            n += 1
-    assert len(pairs) > 50
-    for p, f, n in pairs:
-        ext = build_extension(p, f, n)
-        e = ext.find_trace_zero_generator()
+    assert len(trace_zero_battery) > 50
+    for ext, e, found in trace_zero_battery:
         assert not ext.is_zero(e)
         assert ext.is_zero(ext.trace(e))
-        assert ext.minimal_polynomial_degree(e) == n
+        assert ext.minimal_polynomial_degree(e) == ext.n
         # exhaustive cross-check on the small range
-        if ext.q**n <= 10**4:
-            found = [
-                a
-                for a in ext.elements()
-                if not ext.is_zero(a)
-                and ext.is_zero(ext.trace(a))
-                and ext.minimal_polynomial_degree(a) == n
-            ]
+        if found is not None:
             assert e in found
 
 

@@ -1,0 +1,138 @@
+"""The arithmetic kernel against independent oracles.
+
+Products are checked against the product over Z reduced with
+`linalg.poly_divmod` and then taken mod N; the moduli have the shapes the
+callers use: the F_q modulus over F_p, its lift to GR(p^K, f), the all-ones
+modulus of the cyclotomic-level ring, and x^e - p over GR(p^K, f).
+"""
+
+import operator
+
+import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+
+from forge import kernel, linalg
+from forge.ffield import BaseField, build_extension
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _oracle(a, b, modulus, N):
+    """a * b mod (modulus, N) through Z; all polynomials little-endian."""
+    prod = linalg.poly_mul(a[::-1], b[::-1])
+    _, rem = linalg.poly_divmod(prod, modulus[::-1])
+    rem = [c % N for c in reversed(rem)]
+    deg = len(modulus) - 1
+    return tuple(rem + [0] * (deg - len(rem)))
+
+
+def _element(data, deg, N):
+    return tuple(data.draw(st.lists(st.integers(0, N - 1), min_size=deg, max_size=deg)))
+
+
+@st.composite
+def int_moduli(draw):
+    """(modulus, N) shaped like F_q, GR(p^K, f) or the all-ones modulus."""
+    p = draw(st.sampled_from(PRIMES))
+    shape = draw(st.sampled_from(("F_q", "GR", "all-ones")))
+    if shape == "all-ones":
+        m = draw(st.integers(1, 2 if p < 7 else 1))
+        return (1,) * p**m, p ** draw(st.integers(m, m + 2))
+    g = build_extension(p, 1, draw(st.integers(1, 4))).modulus
+    return g, p if shape == "F_q" else p ** draw(st.integers(2, 5))
+
+
+@given(int_moduli(), st.data())
+def test_int_ring_mul_matches_oracle(shape, data):
+    modulus, N = shape
+    ring = kernel.IntPolyRing(modulus, N)
+    a, b = _element(data, ring.deg, N), _element(data, ring.deg, N)
+    assert ring.mul(a, b) == _oracle(a, b, modulus, N)
+
+
+@given(int_moduli(), st.data())
+def test_int_ring_reduce_takes_any_length(shape, data):
+    modulus, N = shape
+    ring = kernel.IntPolyRing(modulus, N)
+    coeffs = data.draw(st.lists(st.integers(-3 * N, 3 * N), min_size=1, max_size=3 * ring.deg))
+    _, rem = linalg.poly_divmod(coeffs[::-1], modulus[::-1])
+    want = [c % N for c in reversed(rem)]
+    assert ring.reduce(list(coeffs)) == tuple(want + [0] * (ring.deg - len(want)))
+
+
+@given(st.sampled_from(PRIMES), st.integers(1, 3), st.data())
+def test_ring_mul_over_prime_field_matches_oracle(p, n, data):
+    # F_p[x]/(h) with the canonical modulus, coefficient ring F_p as ints
+    modulus = build_extension(p, 1, n).modulus
+    ring = kernel.PolyRing(BaseField(p), modulus)
+    a, b = _element(data, n, p), _element(data, n, p)
+    assert ring.mul(a, b) == _oracle(a, b, modulus, p)
+
+
+def _bivariate_oracle(a, b, g, e, p, N):
+    """a * b in Z/N[y]/(g)[x]/(x^e - p), through Z[x, y]."""
+    f = len(g) - 1
+    prod = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
+    for k1, u in enumerate(a):
+        for k2, v in enumerate(b):
+            for i1, s in enumerate(u):
+                for i2, t in enumerate(v):
+                    prod[k1 + k2][i1 + i2] += s * t
+    x_mod = (-p,) + (0,) * (e - 1) + (1,)
+    in_y = [_oracle(tuple(row), (1,), g, N) for row in prod]
+    cols = [_oracle(tuple(row[i] for row in in_y), (1,), x_mod, N) for i in range(f)]
+    return tuple(tuple(col[k] for col in cols) for k in range(e))
+
+
+@given(st.sampled_from((5, 7, 11)), st.integers(1, 3), st.integers(1, 3), st.integers(2, 5), st.data())
+def test_ring_mul_over_galois_ring_matches_oracle(p, f, e, K, data):
+    # R[x]/(x^e - p) over R = GR(p^K, f), the truncated tame extension
+    N = p**K
+    g = build_extension(p, 1, f).modulus
+    gr = kernel.IntPolyRing(g, N)
+    ring = kernel.PolyRing(gr, (gr.reduce([-p]),) + (gr.zero(),) * (e - 1) + (gr.one(),))
+    a = tuple(_element(data, f, N) for _ in range(e))
+    b = tuple(_element(data, f, N) for _ in range(e))
+    assert ring.mul(a, b) == _bivariate_oracle(a, b, g, e, p, N)
+
+
+@given(st.integers(-50, 50), st.integers(0, 200))
+def test_power_matches_builtin_pow(a, e):
+    assert kernel.power(operator.mul, a, e, 1) == a**e
+
+
+@given(int_moduli(), st.integers(0, 40), st.data())
+def test_power_is_repeated_multiplication(shape, e, data):
+    modulus, N = shape
+    ring = kernel.IntPolyRing(modulus, N)
+    a = _element(data, ring.deg, N)
+    want = ring.one()
+    for _ in range(e):
+        want = ring.mul(want, a)
+    assert kernel.power(ring.mul, a, e, ring.one()) == want
+    assert ring.pow(a, e) == want
+
+
+@pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5, 7, 11, 13, 17, 19) for f in (1, 2, 3)])
+def test_smallest_irreducible_against_sympy(p, f):
+    # first monic candidate in encoding order that sympy calls irreducible
+    y = sympy.Symbol("y")
+    for enc in range(p**f):
+        digits = [(enc // p**i) % p for i in range(f)] + [1]
+        if sympy.Poly(list(reversed(digits)), y, modulus=p).is_irreducible:
+            break
+    assert kernel.smallest_irreducible(BaseField(p), f) == tuple(digits)
+    if f > 1:
+        assert BaseField(p, f).modulus == tuple(digits)
+
+
+@given(st.sampled_from(PRIMES), st.integers(0, 12), st.integers(-10**6, 10**6))
+def test_vp(p, k, u):
+    if u == 0:
+        with pytest.raises(ValueError):
+            kernel.vp(0, p)
+        return
+    unit = u if u % p else u * p + 1
+    assert kernel.vp(unit * p**k, p) == k

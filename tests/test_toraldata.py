@@ -510,9 +510,17 @@ def two_smallest_primes_above(b):
     return p1, sympy.nextprime(p1)
 
 
+# sha256 over the JSON of every datum and twist built below: it pins the
+# residue moduli, generator-power and trace-zero coordinates byte for byte
+SWEEP_GOLDEN_SHA256 = "f796d85c66865e26e40f7d2dace98bae9d47cb896a4b39cff4700ce7b2762f69"
+
+
 def test_full_sweep_q_p_and_p_squared():
+    import hashlib
+
     from forge.rootsys import coxeter_number
 
+    digest = hashlib.sha256()
     for t in sweep_types():
         for p in two_smallest_primes_above(coxeter_number(t)):
             for fexp in (1, 2):
@@ -526,6 +534,9 @@ def test_full_sweep_q_p_and_p_squared():
                     # unit twist stability
                     td, trep = twist_datum(d, max(2, p - 1), 1)
                     assert trep.genericity_ok
+                    digest.update(d.to_json().encode())
+                    digest.update(td.to_json().encode())
+    assert digest.hexdigest() == SWEEP_GOLDEN_SHA256
 
 
 def test_sweep_negative_controls_single_zero_coordinate():
