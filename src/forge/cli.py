@@ -114,7 +114,6 @@ def cmd_sweep(args) -> int:
         explicit_primes=tuple(args.primes or ()),
         q_exponents=tuple(args.q_exponents),
         n_values=tuple(args.n_values),
-        jobs=args.jobs,
         twist_checks=not args.no_twist,
     )
     out = run_sweep(config)
@@ -312,7 +311,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--primes", type=int, nargs="*", default=None)
     s.add_argument("--q-exponents", type=int, nargs="*", default=[1])
     s.add_argument("--n-values", type=int, nargs="*", default=[1, 2])
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--no-twist", action="store_true")
     s.add_argument("--text", action="store_true")
     s.add_argument("-o", "--output", default=None)

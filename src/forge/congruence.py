@@ -18,11 +18,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+import sympy
+
 from . import kernel, linalg
 from .cyclotomic import cyclotomic_poly
 from .finitegroups import (
     DirectProduct,
     FiniteGroup,
+    closure,
     double_coset_representatives,
     group_from_config,
     left_coset_representatives,
@@ -108,6 +111,10 @@ class FiniteModel:
         delta_gens: Sequence = (),
         name: str = "model",
     ):
+        if not sympy.isprime(p):
+            raise ValueError(f"p must be prime, got p = {p}")
+        if m < 1:
+            raise ValueError(f"m must be at least 1, got m = {m}")
         self.gamma_s, self.gamma_p = gamma_s, gamma_p
         self.p, self.m = p, m
         self.name = name
@@ -115,39 +122,27 @@ class FiniteModel:
         self.u_s_gens = tuple(u_s_gens)
         self.u_p_gens = tuple(u_p_gens)
         self.u_s = gamma_s.generated_subgroup(self.u_s_gens)
-        self.u_p = gamma_p.generated_subgroup(self.u_p_gens)
         self.delta_gens = tuple(delta_gens)
         self.delta = self.product.generated_subgroup(self.delta_gens)
         self.lam = self._lambda_table(lam_gen_images)
+        self.u_p = tuple(sorted(self.lam))
 
     def _lambda_table(self, gen_images: Sequence[int]) -> dict:
-        """Propagate generator images through the subgroup; the breadth-first
-        consistency check certifies the homomorphism property exactly."""
+        """Propagate generator images through the subgroup; the walk compares
+        lambda(x*g) with lambda(x) + lambda(g) once on every edge, which
+        certifies the homomorphism property exactly."""
         if len(gen_images) != len(self.u_p_gens):
             raise ValueError("one image per u_p generator required")
         mod = self.p**self.m
-        table = {self.gamma_p.identity(): 0}
-        frontier = [self.gamma_p.identity()]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g, img in zip(self.u_p_gens, gen_images):
-                    y = self.gamma_p.mul(x, g)
-                    val = (table[x] + img) % mod
-                    if y in table:
-                        if table[y] != val:
-                            raise ValueError("lambda is not a homomorphism")
-                    else:
-                        table[y] = val
-                        new.append(y)
-            frontier = new
-        if set(table) != set(self.u_p):
-            raise ValueError("lambda table does not cover U_p")
-        # full two-sided consistency: lambda(x*g) = lambda(x) + lambda(g)
-        for x in self.u_p:
-            for g, img in zip(self.u_p_gens, gen_images):
-                if table[self.gamma_p.mul(x, g)] != (table[x] + img) % mod:
-                    raise ValueError("lambda is not a homomorphism")
+        table, clashes = closure(
+            self.gamma_p.identity(),
+            self.u_p_gens,
+            self.gamma_p.mul,
+            lambda lam, k: (lam + gen_images[k]) % mod,
+            0,
+        )
+        if clashes:
+            raise ValueError("lambda is not a homomorphism")
         return table
 
     # -- base set -----------------------------------------------------------
@@ -183,42 +178,26 @@ class FiniteModel:
         lambda(Stab) = p^t * Z/p^m.
         """
         es, ep = self.gamma_s.identity(), self.gamma_p.identity()
-        gens = [((gs, ep), 0) for gs in self.u_s_gens] + [
-            ((es, gp), self.lam[gp]) for gp in self.u_p_gens
-        ]
+        gens = [(gs, ep) for gs in self.u_s_gens] + [(es, gp) for gp in self.u_p_gens]
+        lam_gens = [0] * len(self.u_s_gens) + [self.lam[gp] for gp in self.u_p_gens]
         mod = self.p**self.m
         orbit_index: dict = {}
         lam_to: dict = {}
         reps = []
+        stab_exponents = []
         for z0 in self.base_set:
             if z0 in orbit_index:
                 continue
-            j = len(reps)
+            orbit, clashes = closure(
+                z0, gens, self.act, lambda lam, k: (lam + lam_gens[k]) % mod, 0
+            )
+            # a clash on the edge z -> z*g differs by lambda of the Schreier
+            # generator t_z * g * t_(z*g)^(-1); these generate Stab(z0)
+            g = math.gcd(mod, *(a - b for a, b in clashes))
+            stab_exponents.append(kernel.vp(g, self.p))
+            orbit_index.update(dict.fromkeys(orbit, len(reps)))
+            lam_to.update(orbit)
             reps.append(z0)
-            orbit_index[z0] = j
-            lam_to[z0] = 0
-            frontier = [z0]
-            while frontier:
-                new = []
-                for z in frontier:
-                    for g, lam_g in gens:
-                        z2 = self.act(z, g)
-                        if z2 not in orbit_index:
-                            orbit_index[z2] = j
-                            lam_to[z2] = (lam_to[z] + lam_g) % mod
-                            new.append(z2)
-                frontier = new
-        stab_exponents = []
-        for z0 in reps:
-            images = {0}
-            for us in self.u_s:
-                for up in self.u_p:
-                    if self.act(z0, (us, up)) == z0:
-                        images.add(self.lam[up])
-            g = math.gcd(mod, *images)
-            t = kernel.vp(g, self.p)
-            assert g == self.p**t  # the image subgroup of Z/p^m is p^t Z/p^m
-            stab_exponents.append(t)
         return tuple(reps), orbit_index, lam_to, tuple(stab_exponents)
 
     # -- serialization --------------------------------------------------------
@@ -627,22 +606,16 @@ class MatrixRep:
         """Matrices on all of U_p; raises unless the table closes into a
         genuine representation (checked against every wrap-around relation)."""
         mod = model.p**self.K
-        table = {model.gamma_p.identity(): linalg.identity(self.dim)}
-        frontier = [model.gamma_p.identity()]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g, mg in self.images.items():
-                    y = model.gamma_p.mul(x, g)
-                    if y not in table:
-                        table[y] = _mat_mod(linalg.mat_mul(table[x], mg), mod)
-                        new.append(y)
-            frontier = new
-        for x in table:
-            for g, mg in self.images.items():
-                y = model.gamma_p.mul(x, g)
-                if table[y] != _mat_mod(linalg.mat_mul(table[x], mg), mod):
-                    raise ValueError("matrix table is not a representation")
+        mats = list(self.images.values())
+        table, clashes = closure(
+            model.gamma_p.identity(),
+            list(self.images),
+            model.gamma_p.mul,
+            lambda mat, k: _mat_mod(linalg.mat_mul(mat, mats[k]), mod),
+            linalg.identity(self.dim),
+        )
+        if clashes:
+            raise ValueError("matrix table is not a representation")
         return table
 
     def matrix(self, model: FiniteModel, up) -> linalg.Matrix:

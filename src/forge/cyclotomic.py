@@ -32,10 +32,6 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def euler_phi_prime_power(p: int, k: int) -> int:
-    return p**k - p ** (k - 1) if k >= 1 else 1
-
-
 class CycloInt:
     """An element of Z[zeta_{p^k}] as an exponent-count vector."""
 

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import kernel
 from .ffield import build_extension
@@ -133,10 +133,6 @@ class LevelMap:
             if (order * img) % mod != 0:
                 raise ValueError("image order exceeds generator order: not well-defined")
 
-    @property
-    def target_size(self) -> int:
-        return self.p**self.m
-
     def image_subgroup_index(self) -> int:
         """Index of the generated image subgroup in Z/p^m."""
         return math.gcd(self.p**self.m, *self.images)
@@ -144,12 +140,6 @@ class LevelMap:
     @property
     def surjective(self) -> bool:
         return self.image_subgroup_index() == 1
-
-    def surjectivity_witness(self) -> Optional[str]:
-        for lbl, img in zip(self.generators, self.images):
-            if img % self.p != 0:
-                return lbl
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,13 +319,7 @@ def torus_power_filtration(q: int, e: int, m: int, K: int) -> LevelMap:
     step up, and extracts a surjection U_m/U_2m onto Z/p^m through the norm
     to the unramified part followed by coefficient extraction.
     """
-    import sympy
-
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise ValueError("q must be a prime power")
-    p, f = next(iter(fac.items()))
-    p, f = int(p), int(f)
+    p, f = kernel.prime_power(q)
     if p == 2 and (e != 1 or f != 1):
         raise ValueError("p = 2 supported only for the absolutely unramified line")
     need = max(m + 3, 2 * m + 1) if p == 2 else max(m + 2, 2 * m)

@@ -1,15 +1,45 @@
 """Small finite groups with explicit element sets.
 
 Just enough structure for equivariant-function models: symmetric, cyclic
-and Heisenberg groups, direct products, generated subgroups, and coset
-bookkeeping.  Elements are hashable tuples/ints with a total order so that
+and Heisenberg groups, direct products, generated subgroups, coset
+bookkeeping, and the breadth-first closure walk they and the models share.  Elements are hashable tuples/ints with a total order so that
 coset representatives and reports are deterministic.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
+
+
+def closure(
+    start,
+    gens: Sequence,
+    act: Callable,
+    carry: Callable = lambda value, k: value,
+    value=None,
+) -> tuple[dict, list]:
+    """Breadth-first closure of `start` under x -> act(x, g) for g in gens.
+
+    `start` holds `value`; the first edge x -> act(x, gens[k]) that reaches
+    a point gives it carry(value at x, k).  Every other edge carries a value
+    too, and where it differs from the one already stored the pair (carried,
+    stored) is recorded, so each edge is compared exactly once.  Returns the
+    values in breadth-first order and the list of those disagreements.
+    """
+    values = {start: value}
+    clashes = []
+    frontier = [start]
+    for x in frontier:  # appended to while it is walked: a FIFO queue
+        for k, g in enumerate(gens):
+            y = act(x, g)
+            v = carry(values[x], k)
+            if y not in values:
+                values[y] = v
+                frontier.append(y)
+            elif v != values[y]:
+                clashes.append((v, values[y]))
+    return values, clashes
 
 
 class FiniteGroup:
@@ -33,19 +63,7 @@ class FiniteGroup:
         return len(self.elements)
 
     def generated_subgroup(self, gens: Iterable) -> tuple:
-        gens = list(gens)
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return tuple(sorted(seen))
+        return tuple(sorted(closure(self.identity(), list(gens), self.mul)[0]))
 
     def to_config(self) -> dict:
         raise NotImplementedError

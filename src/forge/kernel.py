@@ -4,7 +4,7 @@ Those rings are F_p[y]/(g), the Galois ring GR(p^K, f) = Z/p^K[y]/(g~)
 and Z/p^K[T]/(1 + T + ... + T^(p^m - 1)) with int coefficients, and
 F_q[x]/(h) and R[x]/(x^e - p) over a coefficient-ring object; the module
 also holds square-and-multiply, Rabin's irreducibility test with the
-modulus search, and the p-adic valuation.
+modulus search, the p-adic valuation and the prime-power parser.
 
 Polynomials are little-endian tuples; a modulus lists every coefficient,
 the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
@@ -194,3 +194,12 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f; raises ValueError unless q is a prime power."""
+    fac = sympy.factorint(q)
+    if q < 2 or len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    ((p, f),) = fac.items()
+    return int(p), int(f)

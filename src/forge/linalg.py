@@ -53,10 +53,6 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return kernel.power(mat_mul, a, e, identity(len(a)))
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def det(a: Matrix) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     n = len(a)

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .cyclotomic import cyclotomic_poly
+from .finitegroups import closure
 from .linalg import Matrix, Vector
 
 FAMILIES = "ABCDEFG"
@@ -147,17 +148,13 @@ class RootSystem:
         self._coroot_set = {c.expansion for c in self.coroots}
 
     def _closure(self) -> tuple[Coroot, ...]:
-        seen = {c.expansion for c in self.simple_coroots}
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for v in frontier:
-                for refl in self.reflections:
-                    w = linalg.mat_vec(refl, v)
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-            frontier = new
+        seen: dict = {}
+        for c in self.simple_coroots:
+            if c.expansion not in seen:
+                orbit, _ = closure(
+                    c.expansion, self.reflections, lambda v, refl: linalg.mat_vec(refl, v)
+                )
+                seen.update(orbit)
         return tuple(Coroot(v) for v in sorted(seen))
 
     @property

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import sympy
@@ -43,7 +41,6 @@ class SweepConfig:
     explicit_primes: tuple[int, ...] = ()
     q_exponents: tuple[int, ...] = (1,)
     n_values: tuple[int, ...] = (1, 2)
-    jobs: int = 1
     twist_checks: bool = True
 
     def grid(self) -> tuple[list[tuple], list[dict]]:
@@ -87,7 +84,7 @@ def sweep_point(t: RootSystemType, p: int, q: int, n: int, twist: bool) -> dict:
         ok = ok and twist_ok
         err = ""
     except Exception as exc:  # surface construction failures as rows
-        ok, case, err = False, "error", str(exc)
+        ok, case, err = False, "error", f"{type(exc).__name__}: {exc}"
     ms = int((time.monotonic() - t0) * 1000)
     return {
         "type": str(t),
@@ -105,16 +102,7 @@ def run_sweep(config: SweepConfig) -> dict:
     points, skipped = config.grid()
     if not points:
         raise ValueError("empty sweep grid")
-    jobs = int(os.environ.get("FORGE_JOBS", config.jobs) or 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda pt: sweep_point(*pt, config.twist_checks), points
-                )
-            )
-    else:
-        rows = [sweep_point(*pt, config.twist_checks) for pt in points]
+    rows = [sweep_point(*pt, config.twist_checks) for pt in points]
     rows.sort(key=lambda r: (r["type"], r["p"], r["q"], r["n"]))
     timings = {f'{r["type"]}/p{r["p"]}/q{r["q"]}/n{r["n"]}': r.pop("_ms") for r in rows}
     report = {
@@ -127,8 +115,8 @@ def run_sweep(config: SweepConfig) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    # timing data stays out of the serialized report so that reruns and
-    # different job counts produce byte-identical files
+    # timing data stays out of the serialized report so that reruns
+    # produce byte-identical files
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 

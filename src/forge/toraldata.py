@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import sympy
-
 from . import kernel, linalg
 from .ffield import FieldExtension, build_extension
 from .rootsys import (
@@ -410,14 +408,6 @@ def verify_datum(d: ZeroToralDatum) -> GenericityReport:
 # ---------------------------------------------------------------------------
 
 
-def _q_to_p_f(q: int) -> tuple[int, int]:
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, f = next(iter(fac.items()))
-    return int(p), int(f)
-
-
 def _unit_terms(residues: Sequence[tuple]) -> tuple[TameLeadingTerm, ...]:
     return tuple(TameLeadingTerm(Fraction(0), r) for r in residues)
 
@@ -426,7 +416,7 @@ def build_dodd_coordinates(s: int, q: int) -> tuple[ExtensionSpec, list[tuple]]:
     """Coordinate vector for the odd orthogonal family, via generator powers."""
     if s < 5 or s % 2 == 0:
         raise ValueError("s must be odd and at least 5")
-    p, f = _q_to_p_f(q)
+    p, f = kernel.prime_power(q)
     if p <= 2 * s - 2:
         raise ValueError("requires p > 2s - 2")
     spec = ExtensionSpec.unramified(p, f, 2 * s - 2)
@@ -448,7 +438,7 @@ def build_dodd_coordinates(s: int, q: int) -> tuple[ExtensionSpec, list[tuple]]:
 
 
 def build_e6_coordinates(variant: str, q: int) -> tuple[ExtensionSpec, list[tuple]]:
-    p, f = _q_to_p_f(q)
+    p, f = kernel.prime_power(q)
     if p <= 12:
         raise ValueError("requires p > 12")
     if variant == "unramified_cubic":
@@ -506,7 +496,7 @@ def build_generic_element(
     through the dedicated coordinate builders.
     """
     q = p if q is None else q
-    pp, f = _q_to_p_f(q)
+    pp, f = kernel.prime_power(q)
     if pp != p:
         raise ValueError("q must be a power of p")
     cox = coxeter_number(rs_type)

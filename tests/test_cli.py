@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from forge import sweep
 from forge.cli import main
+from forge.rootsys import RootSystemType
 
 
 def test_build_verify_round_trip(tmp_path):
@@ -58,25 +62,42 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_deterministic_across_jobs(tmp_path, capsys, monkeypatch):
+def test_sweep_deterministic_across_reruns(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     args = ["sweep", "--types", "B2,A2,G2", "--n-values", "1", "--no-twist"]
-    assert main(args + ["--jobs", "1", "-o", str(out1)]) == 0
-    assert main(args + ["--jobs", "6", "-o", str(out2)]) == 0
+    assert main(args + ["-o", str(out1)]) == 0
+    assert main(args + ["-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("FORGE_JOBS", "3")
-    out3 = tmp_path / "r3.json"
-    assert main(args + ["-o", str(out3)]) == 0
-    assert out1.read_bytes() == out3.read_bytes()
     report = json.loads(out1.read_text())
     assert {r["case"] for r in report["rows"]} == {"Case1-unram", "A"}
     capsys.readouterr()
 
 
+def test_sweep_error_row_names_the_exception(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError()
+
+    monkeypatch.setattr(sweep, "build_generic_element", broken)
+    row = sweep.sweep_point(RootSystemType.parse("A2"), 5, 5, 1, False)
+    assert row["case"] == "error" and not row["pass"]
+    assert row["error"] == "AssertionError: "
+
+
 def test_sweep_empty_grid_exits_two(capsys):
     assert main(["sweep", "--types", "G2", "--primes", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [(["--p", "4"], "p"), (["--p", "1"], "p"), (["--m", "0"], "m")],
+)
+def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
+    assert main(["congruence", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{name} must be" in err
 
 
 def test_congruence_battery_cli(tmp_path):

@@ -4,10 +4,12 @@ Oracles: polynomial reduction by hand for the ring, orbit/coset counting by
 enumeration for the spaces and operators.
 """
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from forge import linalg
+from forge import kernel, linalg
 from forge.congruence import (
     AM_PSI,
     AM_QUOTIENT,
@@ -28,7 +30,13 @@ from forge.congruence import (
     trivial_action_level,
     verify_congruence_theorem,
 )
-from forge.finitegroups import CyclicGroup, SymmetricGroup
+from forge.finitegroups import (
+    CyclicGroup,
+    DirectProduct,
+    HeisenbergGroup,
+    SymmetricGroup,
+    closure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,87 @@ def test_model_config_round_trip():
         again = FiniteModel.from_config(cfg)
         assert again.to_config() == cfg
         assert again.orbit_data[3] == model.orbit_data[3]
+
+
+def test_closure_values_and_disagreements():
+    c6 = CyclicGroup(6)
+    values, clashes = closure(0, [2, 3], c6.mul)
+    assert list(values.items()) == [(x, None) for x in (0, 2, 3, 4, 5, 1)]
+    assert clashes == []
+    # 1 -> 2 in Z/12 is a homomorphism on Z/6
+    values, clashes = closure(0, [1], c6.mul, lambda v, k: (v + 2) % 12, 0)
+    assert list(values.items()) == [(0, 0), (1, 2), (2, 4), (3, 6), (4, 8), (5, 10)]
+    assert clashes == []
+    # 1 -> 1 is not: the edge 5 -> 0 carries 6 where 0 is stored
+    values, clashes = closure(0, [1], c6.mul, lambda v, k: (v + 1) % 12, 0)
+    assert list(values.values()) == [0, 1, 2, 3, 4, 5]
+    assert clashes == [(6, 0)]
+
+
+def scanned_stab_exponents(model: FiniteModel) -> tuple:
+    """Reference: lambda(Stab) found by acting with all of U_S x U_p."""
+    mod = model.p**model.m
+    out = []
+    for z0 in model.orbit_data[0]:
+        images = {0}
+        for us in model.u_s:
+            for up in model.u_p:
+                if model.act(z0, (us, up)) == z0:
+                    images.add(model.lam[up])
+        g = math.gcd(mod, *images)
+        t = kernel.vp(g, model.p)
+        assert g == model.p**t
+        out.append(t)
+    return tuple(out)
+
+
+def delta_models() -> list:
+    s3 = SymmetricGroup(3)
+    swap, cyc, tau = (1, 0, 2), (1, 2, 0), (2, 1, 0)
+    heis9 = DirectProduct(HeisenbergGroup(3), CyclicGroup(9))
+    heis_gens = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 0), 1)]
+    return [
+        FiniteModel(s3, CyclicGroup(9), [], [1], [1], 3, 2, delta_gens=[(swap, 3)]),
+        FiniteModel(s3, CyclicGroup(27), [cyc], [3], [1], 3, 2, delta_gens=[(swap, 9)]),
+        FiniteModel(s3, CyclicGroup(25), [swap], [1], [2], 5, 2, delta_gens=[(swap, 5)]),
+        FiniteModel(
+            s3,
+            DirectProduct(CyclicGroup(9), CyclicGroup(3)),
+            [swap],
+            [(1, 0), (0, 1)],
+            [1, 3],
+            3,
+            2,
+            delta_gens=[(cyc, (3, 1))],
+        ),
+        FiniteModel(
+            s3, heis9, [swap], heis_gens, [3, 0, 1], 3, 2, delta_gens=[(swap, ((0, 0, 1), 3))]
+        ),
+        # tau's conjugates meet U_S = <swap> on some orbits only: mixed t
+        FiniteModel(s3, CyclicGroup(4), [swap], [1], [1], 2, 2, delta_gens=[(tau, 2)]),
+        FiniteModel(s3, CyclicGroup(8), [swap], [1], [1], 2, 3, delta_gens=[(tau, 4)]),
+    ]
+
+
+def test_schreier_stabilizers_match_the_scan_on_builtin_models():
+    for p in (3, 5):
+        for m in (1, 2):
+            for build in (
+                builtin_free_model,
+                builtin_nonfree_model,
+                builtin_cyclic_model,
+                builtin_zero_lambda_model,
+            ):
+                model = build(p, m)
+                assert model.orbit_data[3] == scanned_stab_exponents(model), model.name
+
+
+def test_schreier_stabilizers_match_the_scan_with_nontrivial_delta():
+    exponents = []
+    for model in delta_models():
+        exponents.append(model.orbit_data[3])
+        assert exponents[-1] == scanned_stab_exponents(model)
+    assert exponents == [(1, 1, 1), (1, 1, 1), (1, 1), (2,), (1, 1), (2, 1), (3, 2)]
 
 
 # ---------------------------------------------------------------------------
