@@ -611,7 +611,7 @@ class MatrixRep:
             model.gamma_p.identity(),
             list(self.images),
             model.gamma_p.mul,
-            lambda mat, k: _mat_mod(linalg.mat_mul(mat, mats[k]), mod),
+            lambda mat, k: linalg.mat_mod(linalg.mat_mul(mat, mats[k]), mod),
             linalg.identity(self.dim),
         )
         if clashes:
@@ -620,10 +620,6 @@ class MatrixRep:
 
     def matrix(self, model: FiniteModel, up) -> linalg.Matrix:
         return self.table(model)[up]
-
-
-def _mat_mod(mat: linalg.Matrix, mod: int) -> linalg.Matrix:
-    return tuple(tuple(x % mod for x in row) for row in mat)
 
 
 def trivial_action_level(rep: MatrixRep, p: int) -> int:

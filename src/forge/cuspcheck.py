@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import kernel
 from .cyclotomic import CycloInt
+from .linalg import mat_mod, mat_scale
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
@@ -25,10 +26,6 @@ IDENT: Mat = ((1, 0), (0, 1))
 H: Mat = ((1, 0), (0, -1))
 E: Mat = ((0, 1), (0, 0))
 F: Mat = ((0, 0), (1, 0))
-
-
-def mat_mod(a: Mat, mod: int) -> Mat:
-    return tuple(tuple(x % mod for x in row) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat, mod: Optional[int] = None) -> Mat:
@@ -48,10 +45,6 @@ def mat_mul(a: Mat, b: Mat, mod: Optional[int] = None) -> Mat:
 def mat_add(a: Mat, b: Mat, mod: Optional[int] = None) -> Mat:
     out = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
     return mat_mod(out, mod) if mod else out
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_trace(a: Mat):

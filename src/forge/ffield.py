@@ -1,10 +1,11 @@
 """Exact arithmetic in F_q and F_{q^n} with the relative Frobenius.
 
-The base field F_q (q = p^f) is realized as F_p[y]/(g) for the smallest
-irreducible monic g in a fixed encoding order; an extension F_{q^n} is
-F_q[x]/(h) with h chosen the same way.  Elements are coefficient tuples
-(little-endian).  The encoding order makes every derived value (moduli,
-multiplicative generators, special elements) reproducible.
+The prime field F_p has int elements.  F_q with q = p^f > p is the
+extension F_p[y]/(g) of F_p, for the smallest irreducible monic g in a
+fixed encoding order, and F_{q^n} is F_q[x]/(h) with h chosen the same
+way; elements of an extension are coefficient tuples (little-endian).
+The encoding order makes every derived value (moduli, multiplicative
+generators, special elements) reproducible.
 """
 
 from __future__ import annotations
@@ -20,102 +21,66 @@ from . import kernel
 _FACTOR_EFFORT_BOUND = 10**40
 
 
-class BaseField:
-    """F_q with q = p^f; elements are ints (f=1) or little-endian tuples."""
+class PrimeField:
+    """F_p; elements are ints in [0, p)."""
 
-    def __init__(self, p: int, f: int = 1):
+    def __init__(self, p: int):
         if not sympy.isprime(p):
             raise ValueError(f"{p} is not prime")
-        if f < 1:
-            raise ValueError("f must be positive")
-        self.p = p
-        self.f = f
-        self.q = p**f
-        if f == 1:
-            self.modulus: Optional[tuple[int, ...]] = None
-        else:
-            self.modulus = build_extension(p, 1, f).modulus
-            self._ring = kernel.IntPolyRing(self.modulus, p)
+        self.p = self.size = p
 
-    # -- element plumbing ------------------------------------------------
-    def zero(self):
-        return 0 if self.f == 1 else (0,) * self.f
+    def zero(self) -> int:
+        return 0
 
-    def one(self):
-        return 1 if self.f == 1 else (1,) + (0,) * (self.f - 1)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int):
-        if self.f == 1:
-            return n % self.p
-        digits = []
-        n %= self.q
-        for _ in range(self.f):
-            digits.append(n % self.p)
-            n //= self.p
-        return tuple(digits)
+    def from_int(self, n: int) -> int:
+        return n % self.p
 
-    def encode(self, a) -> int:
-        if self.f == 1:
-            return a
-        return sum(c * self.p**i for i, c in enumerate(a))
+    def encode(self, a: int) -> int:
+        return a
 
-    def elements(self) -> Iterator:
-        for n in range(self.q):
-            yield self.from_int(n)
+    def is_zero(self, a: int) -> bool:
+        return a == 0
 
-    # -- arithmetic ------------------------------------------------------
-    def add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-    def sub(self, a, b):
-        if self.f == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def neg(self, a):
-        if self.f == 1:
-            return -a % self.p
-        return tuple(-x % self.p for x in a)
+    def neg(self, a: int) -> int:
+        return -a % self.p
 
-    def mul(self, a, b):
-        if self.f == 1:
-            return a * b % self.p
-        return self._ring.mul(a, b)
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
 
-    def smul(self, n: int, a):
-        if self.f == 1:
-            return n * a % self.p
-        return tuple(n * x % self.p for x in a)
+    def smul(self, n: int, a: int) -> int:
+        return n * a % self.p
 
-    def inv(self, a):
-        if self.is_zero(a):
+    def inv(self, a: int) -> int:
+        if a == 0:
             raise ZeroDivisionError
-        return self.pow(a, self.q - 2)
+        return pow(a, -1, self.p)
 
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if not self.is_zero(a):
-            e %= self.q - 1
-        return kernel.power(self.mul, a, e, self.one())
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
+    def poly_ring(self, modulus: tuple) -> kernel.IntPolyRing:
+        """F_p[x]/(modulus)."""
+        return kernel.IntPolyRing(modulus, self.p)
 
 
 class FieldExtension:
     """F_{q^n} over F_q with Frobenius sigma: x -> x^q."""
 
     def __init__(self, p: int, f: int, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.base = BaseField(p, f)
+        if f < 1 or n < 1:
+            raise ValueError("f and n must be positive")
+        self.base = PrimeField(p) if f == 1 else build_extension(p, 1, f)
         self.p, self.f, self.n = p, f, n
-        self.q = self.base.q
+        self.q = self.base.size
+        self.size = self.q**n
         self.modulus = kernel.smallest_irreducible(self.base, n)
-        self._ring = kernel.PolyRing(self.base, self.modulus)
+        self._ring = self.base.poly_ring(self.modulus)
         self._frobenius_matrix = self._build_frobenius_matrix()
         self._generator: Optional[tuple] = None
 
@@ -151,7 +116,7 @@ class FieldExtension:
 
     def from_int(self, n: int) -> tuple:
         digits = []
-        n %= self.q**self.n
+        n %= self.size
         for _ in range(self.n):
             digits.append(self.base.from_int(n % self.q))
             n //= self.q
@@ -161,30 +126,30 @@ class FieldExtension:
         return sum(self.base.encode(c) * self.q**i for i, c in enumerate(a))
 
     def elements(self) -> Iterator[tuple]:
-        for n in range(self.q**self.n):
+        for n in range(self.size):
             yield self.from_int(n)
 
     def is_zero(self, a: tuple) -> bool:
-        return all(self.base.is_zero(c) for c in a)
+        return a == self.zero()
 
     def in_base_field(self, a: tuple) -> bool:
         return all(self.base.is_zero(c) for c in a[1:])
 
     # -- arithmetic ------------------------------------------------------
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        return self._ring.add(a, b)
 
     def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        return self._ring.sub(a, b)
 
     def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
+        return self._ring.neg(a)
 
     def mul(self, a, b):
         return self._ring.mul(a, b)
 
     def smul(self, n: int, a):
-        return tuple(self.base.smul(n, x) for x in a)
+        return self._ring.smul(n, a)
 
     def pow(self, a, e: int):
         if e < 0:
@@ -194,7 +159,11 @@ class FieldExtension:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError
-        return self.pow(a, self.q**self.n - 2)
+        return self.pow(a, self.size - 2)
+
+    def poly_ring(self, modulus: tuple) -> kernel.PolyRing:
+        """F_{q^n}[z]/(modulus), over the kernel ring of this field."""
+        return kernel.PolyRing(self._ring, modulus)
 
     # -- Frobenius and traces ---------------------------------------------
     def frobenius(self, a: tuple, k: int = 1) -> tuple:
@@ -207,10 +176,10 @@ class FieldExtension:
 
     def _frobenius_once(self, a: tuple) -> tuple:
         # sigma fixes F_q, so sigma(sum c_i x^i) = sum c_i (x^q)^i.
-        base = self.base
+        zero = self.base.zero()
         acc = self.zero()
         for i, c in enumerate(a):
-            if not base.is_zero(c):
+            if c != zero:
                 acc = self.add(acc, self.mul(self.from_base(c), self._frobenius_matrix[i]))
         return acc
 
@@ -254,12 +223,12 @@ class FieldExtension:
         """Smallest element (encoding order) of multiplicative order q^n - 1."""
         if self._generator is not None:
             return self._generator
-        order = self.q**self.n - 1
+        order = self.size - 1
         if order >= _FACTOR_EFFORT_BOUND:
             raise ValueError("factorization effort bound exceeded for q^n - 1")
         primes = sympy.primefactors(order)
         one = self.one()
-        for enc in range(2, self.q**self.n):
+        for enc in range(2, self.size):
             c = self.from_int(enc)
             if all(self.pow(c, order // ell) != one for ell in primes):
                 self._generator = c
@@ -288,6 +257,8 @@ class FieldExtension:
         return [self.base.encode(c) for c in a]
 
     def element_from_json(self, data: list[int]) -> tuple:
+        if len(data) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(data)}")
         return tuple(self.base.from_int(c) for c in data)
 
 

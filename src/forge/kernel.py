@@ -2,7 +2,8 @@
 
 Those rings are F_p[y]/(g), the Galois ring GR(p^K, f) = Z/p^K[y]/(g~)
 and Z/p^K[T]/(1 + T + ... + T^(p^m - 1)) with int coefficients, and
-F_q[x]/(h) and R[x]/(x^e - p) over a coefficient-ring object; the module
+F_q[x]/(h) with q = p^f > p and R[x]/(x^e - p) over a coefficient ring
+with tuple elements; the module
 also holds square-and-multiply, Rabin's irreducibility test with the
 modulus search, the p-adic valuation and the prime-power parser.
 
@@ -12,9 +13,13 @@ x^deg = -(h_0 + h_1 x + ...), as a table built once, so a reduction step
 touches only the terms the modulus has.
 
 A coefficient-ring object provides zero(), one(), add, sub and mul, and
-keeps its elements canonical, so that equality is ring equality; a field
-used by the irreducibility routines also provides q, is_zero, inv and
-from_int.
+keeps its elements canonical, so that equality is ring equality; neg and
+smul (the product with a rational integer) carry over to a PolyRing from
+a coefficient ring that has them, as IntPolyRing does.  A field is such
+a ring with neg and smul, plus is_zero, inv, from_int, its number of
+elements `size`, and poly_ring(modulus), the kernel ring of polynomials
+over it modulo a monic modulus; the irreducibility routines use only
+these.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ class IntPolyRing:
 
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple((x - y) % self.mod for x, y in zip(a, b))
+
+    def neg(self, a: tuple) -> tuple:
+        return tuple(-x % self.mod for x in a)
+
+    def smul(self, n: int, a: tuple) -> tuple:
+        return tuple(n * x % self.mod for x in a)
 
     def is_zero(self, a: tuple) -> bool:
         return not any(a)
@@ -95,6 +106,12 @@ class PolyRing:
 
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple(self.ring.sub(x, y) for x, y in zip(a, b))
+
+    def neg(self, a: tuple) -> tuple:
+        return tuple(self.ring.neg(x) for x in a)
+
+    def smul(self, n: int, a: tuple) -> tuple:
+        return tuple(self.ring.smul(n, x) for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         ring, deg = self.ring, self.deg
@@ -155,13 +172,13 @@ def is_irreducible(field, modulus: tuple) -> bool:
     n = len(modulus) - 1
     if n == 1:
         return True
-    ring = PolyRing(field, modulus)
+    ring = field.poly_ring(modulus)
     zero = field.zero()
     x = (zero, field.one()) + (zero,) * (n - 2)
-    if ring.pow(x, field.q**n) != x:
+    if ring.pow(x, field.size**n) != x:
         return False
     for ell in sympy.primefactors(n):
-        y = ring.pow(x, field.q ** (n // ell))
+        y = ring.pow(x, field.size ** (n // ell))
         if gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
             return False
     return True
@@ -173,7 +190,7 @@ def smallest_irreducible(field, n: int) -> tuple:
     Candidates run in encoding order: the i-th coefficient is the i-th
     base-q digit of the candidate's index.
     """
-    q = field.q
+    q = field.size
     for enc in range(q**n):
         digits = []
         for _ in range(n):

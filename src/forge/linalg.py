@@ -45,6 +45,10 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def mat_mod(a: Matrix, mod: int) -> Matrix:
+    return tuple(tuple(x % mod for x in row) for row in a)
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

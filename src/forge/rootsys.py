@@ -11,6 +11,7 @@ checks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -265,16 +266,10 @@ def cyclotomic_exponents(w: WeylElement, order: int) -> tuple[int, ...]:
                 break
             poly = q
             exponents.extend(
-                (order // d) * j % order for j in range(d) if _gcd(j, d) == 1
+                (order // d) * j % order for j in range(d) if math.gcd(j, d) == 1
             )
     assert len(poly) == 1, "characteristic polynomial not a product of cyclotomics"
     return tuple(sorted(exponents))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

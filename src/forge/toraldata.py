@@ -90,8 +90,6 @@ class ExtensionSpec:
         res = build_extension(
             data["residue"]["p"], data["residue"]["f"], data["residue"]["n"]
         )
-        if res.to_json_dict() != data["residue"]:
-            raise ValueError("non-canonical residue field in serialized spec")
         return ExtensionSpec(
             data["kind"],
             data["degree"],
@@ -185,6 +183,10 @@ class ZeroToralDatum:
     def __post_init__(self):
         if self.p <= coxeter_number(self.rs.type):
             raise ValueError("requires p > Cox")
+        if (self.p, self.q) != (self.ext.residue.p, self.ext.residue.q):
+            raise ValueError("p and q must be those of the residue field")
+        if len(self.coords) != self.rs.rank:
+            raise ValueError(f"expected {self.rs.rank} coords, got {len(self.coords)}")
         if self.case not in CASE_LABELS:
             raise ValueError(f"unknown case label {self.case}")
         if not (Fraction(self.n) < self.depth <= Fraction(self.n + 1)):
@@ -247,23 +249,31 @@ class ZeroToralDatum:
 
 
 def datum_from_json(text: str) -> ZeroToralDatum:
+    """The datum a JSON text encodes; ValueError unless the text is a
+    well-formed datum that re-serializes to the same JSON value."""
     data = json.loads(text)
-    rs = build_root_system(RootSystemType.parse(data["type"]))
-    ext = ExtensionSpec.from_json_dict(data["ext"])
-    return ZeroToralDatum(
-        rs=rs,
-        delta=DiagramAutomorphism(tuple(data["delta"])),
-        cocycle=WeylElement(linalg.mat_freeze(data["cocycle"])),
-        ext=ext,
-        p=data["p"],
-        q=data["q"],
-        n=data["n"],
-        depth=Fraction(data["depth"]),
-        coords=tuple(
-            TameLeadingTerm.from_json_dict(c, ext.residue) for c in data["coords"]
-        ),
-        case=data["case"],
-    )
+    try:
+        rs = build_root_system(RootSystemType.parse(data["type"]))
+        ext = ExtensionSpec.from_json_dict(data["ext"])
+        datum = ZeroToralDatum(
+            rs=rs,
+            delta=DiagramAutomorphism(tuple(data["delta"])),
+            cocycle=WeylElement(linalg.mat_freeze(data["cocycle"])),
+            ext=ext,
+            p=data["p"],
+            q=data["q"],
+            n=data["n"],
+            depth=Fraction(data["depth"]),
+            coords=tuple(
+                TameLeadingTerm.from_json_dict(c, ext.residue) for c in data["coords"]
+            ),
+            case=data["case"],
+        )
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed datum: {type(exc).__name__}: {exc}") from exc
+    if datum.to_json_dict() != data:
+        raise ValueError("non-canonical datum: it does not re-serialize to its input")
+    return datum
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,34 @@ def test_verify_tampered_exits_one(tmp_path, capsys):
     assert "fail at coroot" in captured.err
 
 
+def _shift_residue(data):
+    data["coords"][0]["residue"] = [r + data["p"] for r in data["coords"][0]["residue"]]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _shift_residue,
+        lambda data: data.update(extra=0),
+        lambda data: data.update(q=7),
+        lambda data: data.pop("case"),
+        lambda data: data["coords"].pop(),
+        lambda data: data["coords"][0]["residue"].pop(),
+        lambda data: data.update(type=5),
+    ],
+    ids=["residue+p", "extra-key", "q-not-p^f", "no-case", "short-coords", "short-residue", "type-not-str"],
+)
+def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
+    datum = tmp_path / "a2.json"
+    assert main(["build", "--type", "A2", "--p", "5", "-o", str(datum)]) == 0
+    data = json.loads(datum.read_text())
+    mutate(data)
+    datum.write_text(json.dumps(data, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(datum)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["build", "--nonsense"]) == 2
     assert main(["frobnicate"]) == 2

@@ -25,12 +25,11 @@ from forge.cuspcheck import (
     lambda_character,
     log_truncated,
     mat_add,
-    mat_mod,
     mat_mul,
-    mat_scale,
     smallest_nonsquare,
     x_class_representatives,
 )
+from forge.linalg import mat_mod, mat_scale
 
 # ---------------------------------------------------------------------------
 # cyclotomic canonical forms

@@ -170,6 +170,7 @@ def test_extension_json_round_trip():
 def test_q_may_be_prime_power():
     ext = build_extension(3, 2, 2)  # F_81 over F_9
     assert ext.q == 9
+    assert ext.base is build_extension(3, 1, 2)
     a = ext.from_int(50)
     assert ext.frobenius(a, 2) == a
     assert ext.frobenius(a) == ext.pow(a, 9)

@@ -3,10 +3,12 @@
 Products are checked against the product over Z reduced with
 `linalg.poly_divmod` and then taken mod N; the moduli have the shapes the
 callers use: the F_q modulus over F_p, its lift to GR(p^K, f), the all-ones
-modulus of the cyclotomic-level ring, and x^e - p over GR(p^K, f).
+modulus of the cyclotomic-level ring, x^e - p over GR(p^K, f), and the
+F_{q^n} modulus over F_q with q = p^f.
 """
 
 import operator
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -14,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forge import kernel, linalg
-from forge.ffield import BaseField, build_extension
+from forge.ffield import PrimeField, build_extension
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -50,6 +52,9 @@ def test_int_ring_mul_matches_oracle(shape, data):
     ring = kernel.IntPolyRing(modulus, N)
     a, b = _element(data, ring.deg, N), _element(data, ring.deg, N)
     assert ring.mul(a, b) == _oracle(a, b, modulus, N)
+    n = data.draw(st.integers(-3 * N, 3 * N))
+    assert ring.smul(n, a) == _oracle(a, (n,), modulus, N)
+    assert ring.neg(a) == _oracle(a, (-1,), modulus, N)
 
 
 @given(int_moduli(), st.data())
@@ -66,24 +71,35 @@ def test_int_ring_reduce_takes_any_length(shape, data):
 def test_ring_mul_over_prime_field_matches_oracle(p, n, data):
     # F_p[x]/(h) with the canonical modulus, coefficient ring F_p as ints
     modulus = build_extension(p, 1, n).modulus
-    ring = kernel.PolyRing(BaseField(p), modulus)
+    ring = kernel.PolyRing(PrimeField(p), modulus)
     a, b = _element(data, n, p), _element(data, n, p)
     assert ring.mul(a, b) == _oracle(a, b, modulus, p)
 
 
-def _bivariate_oracle(a, b, g, e, p, N):
-    """a * b in Z/N[y]/(g)[x]/(x^e - p), through Z[x, y]."""
-    f = len(g) - 1
-    prod = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
+def _y_add(u, v):
+    return [s + t for s, t in zip_longest(u, v, fillvalue=0)]
+
+
+def _bivariate_oracle(a, b, g, h, N):
+    """a * b in Z/N[y]/(g)[x]/(h), through Z[y][x].
+
+    h is monic in x, its coefficients polynomials in y; the product is
+    divided by h over Z[y], and only the remainder is reduced mod (g, N).
+    """
+    e = len(h) - 1
+    prod = [[0] for _ in range(len(a) + len(b) - 1)]
     for k1, u in enumerate(a):
         for k2, v in enumerate(b):
-            for i1, s in enumerate(u):
-                for i2, t in enumerate(v):
-                    prod[k1 + k2][i1 + i2] += s * t
-    x_mod = (-p,) + (0,) * (e - 1) + (1,)
-    in_y = [_oracle(tuple(row), (1,), g, N) for row in prod]
-    cols = [_oracle(tuple(row[i] for row in in_y), (1,), x_mod, N) for i in range(f)]
-    return tuple(tuple(col[k] for col in cols) for k in range(e))
+            prod[k1 + k2] = _y_add(prod[k1 + k2], linalg.poly_mul(u, v))
+    for k in range(len(prod) - 1, e - 1, -1):
+        # x^k = x^(k - e) * (x^e - h) over the lower terms of h
+        for j in range(e):
+            prod[k - e + j] = _y_add(prod[k - e + j], linalg.poly_mul([-c for c in prod[k]], h[j]))
+    return tuple(_oracle(tuple(row), (1,), g, N) for row in prod[:e])
+
+
+def _vectors(data, length, deg, N):
+    return tuple(_element(data, deg, N) for _ in range(length))
 
 
 @given(st.sampled_from((5, 7, 11)), st.integers(1, 3), st.integers(1, 3), st.integers(2, 5), st.data())
@@ -92,10 +108,25 @@ def test_ring_mul_over_galois_ring_matches_oracle(p, f, e, K, data):
     N = p**K
     g = build_extension(p, 1, f).modulus
     gr = kernel.IntPolyRing(g, N)
-    ring = kernel.PolyRing(gr, (gr.reduce([-p]),) + (gr.zero(),) * (e - 1) + (gr.one(),))
-    a = tuple(_element(data, f, N) for _ in range(e))
-    b = tuple(_element(data, f, N) for _ in range(e))
-    assert ring.mul(a, b) == _bivariate_oracle(a, b, g, e, p, N)
+    h = (gr.reduce([-p]),) + (gr.zero(),) * (e - 1) + (gr.one(),)
+    ring = kernel.PolyRing(gr, h)
+    a, b = _vectors(data, e, f, N), _vectors(data, e, f, N)
+    assert ring.mul(a, b) == _bivariate_oracle(a, b, g, h, N)
+    n = data.draw(st.integers(-3 * N, 3 * N))
+    assert ring.smul(n, a) == _bivariate_oracle(a, ((n,),), g, h, N)
+    assert ring.neg(a) == _bivariate_oracle(a, ((-1,),), g, h, N)
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(2, 3), st.integers(1, 3), st.data())
+def test_extension_field_ring_matches_oracle(p, f, n, data):
+    # F_{q^n} = F_q[x]/(h) over F_q = F_p[y]/(g), q = p^f: the ring K = 1
+    ext = build_extension(p, f, n)
+    g, h, ring = ext.base.modulus, ext.modulus, ext._ring
+    a, b = _vectors(data, n, f, p), _vectors(data, n, f, p)
+    assert ring.mul(a, b) == _bivariate_oracle(a, b, g, h, p)
+    assert ext.mul(a, b) == ring.mul(a, b)
+    k = data.draw(st.integers(-3 * p, 3 * p))
+    assert ext.smul(k, a) == _bivariate_oracle(a, ((k,),), g, h, p)
 
 
 @given(st.integers(-50, 50), st.integers(0, 200))
@@ -123,9 +154,9 @@ def test_smallest_irreducible_against_sympy(p, f):
         digits = [(enc // p**i) % p for i in range(f)] + [1]
         if sympy.Poly(list(reversed(digits)), y, modulus=p).is_irreducible:
             break
-    assert kernel.smallest_irreducible(BaseField(p), f) == tuple(digits)
+    assert kernel.smallest_irreducible(PrimeField(p), f) == tuple(digits)
     if f > 1:
-        assert BaseField(p, f).modulus == tuple(digits)
+        assert build_extension(p, 1, f).modulus == tuple(digits)
 
 
 @given(st.sampled_from(PRIMES), st.integers(0, 12), st.integers(-10**6, 10**6))
