@@ -119,6 +119,9 @@ class FiniteModel:
         self.p, self.m = p, m
         self.name = name
         self.product = DirectProduct(gamma_s, gamma_p)
+        for gens, group in ((u_s_gens, gamma_s), (u_p_gens, gamma_p), (delta_gens, self.product)):
+            if gens and not set(group.elements).issuperset(gens):
+                raise ValueError(f"a generator in {list(gens)} is not an element of its group")
         self.u_s_gens = tuple(u_s_gens)
         self.u_p_gens = tuple(u_p_gens)
         self.u_s = gamma_s.generated_subgroup(self.u_s_gens)
@@ -216,19 +219,26 @@ class FiniteModel:
 
     @staticmethod
     def from_config(config: dict) -> "FiniteModel":
-        gamma_s = group_from_config(config["gamma_s"])
-        gamma_p = group_from_config(config["gamma_p"])
-        return FiniteModel(
-            gamma_s,
-            gamma_p,
-            [_el_from_json(g) for g in config["u_s"]],
-            [_el_from_json(g) for g in config["u_p"]],
-            config["lambda"]["images"],
-            config["p"],
-            config["m"],
-            delta_gens=[_el_from_json(g) for g in config.get("delta", [])],
-            name=config.get("name", "model"),
-        )
+        """The model a parsed model file encodes; ValueError unless it is well
+        formed and re-serializes to the same JSON value."""
+        kernel.reject_float_and_bool(config)
+        try:
+            model = FiniteModel(
+                group_from_config(config["gamma_s"]),
+                group_from_config(config["gamma_p"]),
+                [_el_from_json(g) for g in config["u_s"]],
+                [_el_from_json(g) for g in config["u_p"]],
+                config["lambda"]["images"],
+                config["p"],
+                config["m"],
+                delta_gens=[_el_from_json(g) for g in config["delta"]],
+                name=config["name"],
+            )
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed model: {type(exc).__name__}: {exc}") from exc
+        if model.to_config() != config:
+            raise ValueError("non-canonical model: it does not re-serialize to its input")
+        return model
 
 
 def _el_to_json(el):

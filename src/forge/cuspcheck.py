@@ -397,8 +397,9 @@ def unipotent_support_profiles(
 
     For an integral unimodular g the whole support of t -> f(g u(t)) lies in
     the integral points (u(t) = g^{-1} (g u(t)) is a product of integral
-    matrices), so scanning one period exhausts it.  The scan is staged:
-    window points are filtered modulo p^n, then the surviving coset is
+    matrices), so one period exhausts it.  g u(t) = 1 (mod p^n) forces
+    t = -b (upper) or t = -c (lower) modulo p^n for g = ((a, b), (c, d)), so
+    that one residue is tested; if it passes, its coset modulo the period is
     enumerated exactly.  Histograms are x-independent.
     """
     p, n, m, K = char.seed.p, char.n, char.m, char.K
@@ -406,23 +407,16 @@ def unipotent_support_profiles(
     mod_n = p**n
     out = []
     for parabolic in ("upper", "lower"):
-        step = _unipotent(parabolic, 1)
         for name, g in samples:
             if _det2(g) % mod != 1 % mod:
                 raise ValueError(f"sample {name} is not unimodular")
-            # stage 1: locate the support residue modulo p^n (if any)
-            cur = mat_mod(g, mod)
-            support_res = []
-            for t in range(mod_n):
-                d = mat_add(cur, mat_scale(-1, IDENT))
-                if all(v % mod_n == 0 for row in d for v in row):
-                    support_res.append(t)
-                cur = mat_mul(cur, step, mod)
-            assert len(support_res) <= 1, "support is a single unipotent coset"
+            # stage 1: the only candidate support residue modulo p^n
+            t0 = -(g[0][1] if parabolic == "upper" else g[1][0]) % mod_n
+            d = mat_add(mat_mul(g, _unipotent(parabolic, t0), mod), mat_scale(-1, IDENT))
             # stage 2: exact values over the support coset
             hist = [0] * p**m
             support = 0
-            for t0 in support_res:
+            if all(v % mod_n == 0 for row in d for v in row):
                 for s in range(p**m):
                     t = t0 + s * mod_n
                     gu = mat_mul(g, _unipotent(parabolic, t), mod)

@@ -81,20 +81,8 @@ class FieldExtension:
         self.size = self.q**n
         self.modulus = kernel.smallest_irreducible(self.base, n)
         self._ring = self.base.poly_ring(self.modulus)
-        self._frobenius_matrix = self._build_frobenius_matrix()
+        self._frobenius_matrix = kernel.frobenius_columns(self._ring, self.q)
         self._generator: Optional[tuple] = None
-
-    # -- construction ----------------------------------------------------
-    def _build_frobenius_matrix(self) -> tuple:
-        # sigma is F_q-linear; precompute images of the power basis.
-        x = self.gen_x()
-        xq = self.pow(x, self.q)
-        cols = [self.one()]
-        if self.n > 1:
-            cols = [self.one(), xq]
-            for _ in range(2, self.n):
-                cols.append(self.mul(cols[-1], xq))
-        return tuple(cols)
 
     # -- element plumbing ------------------------------------------------
     def zero(self) -> tuple:
@@ -102,17 +90,6 @@ class FieldExtension:
 
     def one(self) -> tuple:
         return tuple([self.base.one()] + [self.base.zero()] * (self.n - 1))
-
-    def gen_x(self) -> tuple:
-        if self.n == 1:
-            # residue of x modulo x - c is c; modulus here is x itself -> 0.
-            return self.zero()
-        return tuple(
-            [self.base.zero(), self.base.one()] + [self.base.zero()] * (self.n - 2)
-        )
-
-    def from_base(self, c) -> tuple:
-        return tuple([c] + [self.base.zero()] * (self.n - 1))
 
     def from_int(self, n: int) -> tuple:
         digits = []
@@ -168,37 +145,24 @@ class FieldExtension:
     # -- Frobenius and traces ---------------------------------------------
     def frobenius(self, a: tuple, k: int = 1) -> tuple:
         """sigma^k with sigma: x -> x^q."""
-        k %= self.n
-        out = a
-        for _ in range(k):
-            out = self._frobenius_once(out)
-        return out
-
-    def _frobenius_once(self, a: tuple) -> tuple:
-        # sigma fixes F_q, so sigma(sum c_i x^i) = sum c_i (x^q)^i.
-        zero = self.base.zero()
-        acc = self.zero()
-        for i, c in enumerate(a):
-            if c != zero:
-                acc = self.add(acc, self.mul(self.from_base(c), self._frobenius_matrix[i]))
-        return acc
+        for _ in range(k % self.n):
+            a = self._ring.apply(self._frobenius_matrix, a)
+        return a
 
     def trace(self, a: tuple) -> tuple:
         out = self.zero()
-        cur = a
         for _ in range(self.n):
-            out = self.add(out, cur)
-            cur = self._frobenius_once(cur)
+            out = self.add(out, a)
+            a = self._ring.apply(self._frobenius_matrix, a)
         return out
 
     def minimal_polynomial_degree(self, a: tuple) -> int:
         """Degree of the minimal polynomial over F_q = Frobenius orbit size."""
-        cur = self._frobenius_once(a)
-        k = 1
-        while cur != a:
-            cur = self._frobenius_once(cur)
-            k += 1
-        return k
+        cur = a
+        for k in range(1, self.n + 1):
+            cur = self._ring.apply(self._frobenius_matrix, cur)
+            if cur == a:
+                return k
 
     # -- special elements --------------------------------------------------
     def find_trace_zero_generator(self) -> tuple:
@@ -212,7 +176,7 @@ class FieldExtension:
             raise ValueError("extension degree must be at least 2")
         if self.n % self.p == 0:
             raise ValueError("requires p not dividing n")
-        e0 = self.gen_x()
+        e0 = self.one()[-1:] + self.one()[:-1]  # x
         e = self.sub(self.smul(self.n, e0), self.trace(e0))
         assert not self.is_zero(e)
         assert self.is_zero(self.trace(e))
@@ -270,6 +234,7 @@ def build_extension(p: int, f: int, n: int) -> FieldExtension:
 
 def extension_from_json(text: str) -> FieldExtension:
     data = json.loads(text)
+    kernel.reject_float_and_bool(data)  # 1.0 would reach the cache key
     ext = build_extension(data["p"], data["f"], data["n"])
     if ext.to_json_dict()["modulus"] != data["modulus"]:
         raise ValueError("modulus mismatch: non-canonical serialized extension")

@@ -3,9 +3,9 @@
 Those rings are F_p[y]/(g), the Galois ring GR(p^K, f) = Z/p^K[y]/(g~)
 and Z/p^K[T]/(1 + T + ... + T^(p^m - 1)) with int coefficients, and
 F_q[x]/(h) with q = p^f > p and R[x]/(x^e - p) over a coefficient ring
-with tuple elements; the module
-also holds square-and-multiply, Rabin's irreducibility test with the
-modulus search, the p-adic valuation and the prime-power parser.
+with tuple elements.  The module also holds square-and-multiply, the q-power
+Frobenius as columns, Rabin's test by iterated Frobenius with the modulus
+search, the p-adic valuation, the prime-power parser and the JSON int check.
 
 Polynomials are little-endian tuples; a modulus lists every coefficient,
 the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
@@ -89,6 +89,16 @@ class IntPolyRing:
     def pow(self, a: tuple, e: int) -> tuple:
         return power(self.mul, a, e, self.one())
 
+    def apply(self, cols: Sequence[tuple], a: tuple) -> tuple:
+        """sum a_i * cols[i] over Z, zero terms skipped, reduced once."""
+        acc = [0] * self.deg
+        for c, col in zip(a, cols):
+            if c:
+                for j, t in enumerate(col):
+                    if t:
+                        acc[j] += c * t
+        return tuple([c % self.mod for c in acc])
+
 
 class PolyRing:
     """R[x]/(h) for a monic h over a coefficient-ring object R."""
@@ -134,6 +144,17 @@ class PolyRing:
     def pow(self, a: tuple, e: int) -> tuple:
         return power(self.mul, a, e, self.one())
 
+    def apply(self, cols: Sequence[tuple], a: tuple) -> tuple:
+        """sum a_i * cols[i]; zero coefficients and column entries are skipped."""
+        add, mul, zero = self.ring.add, self.ring.mul, self.ring.zero()
+        acc = [zero] * self.deg
+        for c, col in zip(a, cols):
+            if c != zero:
+                for j, t in enumerate(col):
+                    if t != zero:
+                        acc[j] = add(acc[j], mul(c, t))
+        return tuple(acc)
+
 
 def power(mul: Callable, a, e: int, one):
     """a^e for e >= 0 by square-and-multiply under the product `mul`."""
@@ -167,21 +188,32 @@ def gcd_degree(field, a: list, b: list) -> int:
     return deg(b)
 
 
+def frobenius_columns(ring, q: int) -> tuple:
+    """a -> a^q on `ring` = F_q[x]/(h) as the images of 1, x, ..., x^(deg-1),
+    for ring.apply: it is additive and fixes F_q, so F_q-linear for any h."""
+    cols = [ring.one()]
+    xq = ring.pow(cols[0][-1:] + cols[0][:-1], q)  # x, unless deg = 1 and no column needs it
+    for _ in range(1, ring.deg):
+        cols.append(ring.mul(cols[-1], xq))
+    return tuple(cols)
+
+
 def is_irreducible(field, modulus: tuple) -> bool:
-    """Rabin's test for a monic modulus of degree n over F_q = `field`."""
+    """Rabin's test for a monic modulus of degree n over F_q = `field`, with
+    y = x^(q^k) stepped by the Frobenius columns: gcd(y - x, modulus) = 1 at
+    k = n/ell for each prime ell | n, and y = x at k = n."""
     n = len(modulus) - 1
     if n == 1:
         return True
     ring = field.poly_ring(modulus)
-    zero = field.zero()
-    x = (zero, field.one()) + (zero,) * (n - 2)
-    if ring.pow(x, field.size**n) != x:
-        return False
-    for ell in sympy.primefactors(n):
-        y = ring.pow(x, field.size ** (n // ell))
-        if gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
+    cols = frobenius_columns(ring, field.size)
+    x = y = cols[0][-1:] + cols[0][:-1]
+    checks = {n // ell for ell in sympy.primefactors(n)}
+    for k in range(1, n + 1):
+        y = ring.apply(cols, y)
+        if k in checks and gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
             return False
-    return True
+    return y == x
 
 
 def smallest_irreducible(field, n: int) -> tuple:
@@ -220,3 +252,13 @@ def prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"{q} is not a prime power")
     ((p, f),) = fac.items()
     return int(p), int(f)
+
+
+def reject_float_and_bool(value) -> None:
+    """ValueError if parsed JSON holds a float or a bool anywhere: forge's
+    inputs hold ints, and 1.0 == True == 1 would pass an equality check."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"non-canonical input: {value!r} in place of an int")
+    if isinstance(value, (dict, list)):
+        for v in value.values() if isinstance(value, dict) else value:
+            reject_float_and_bool(v)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import sympy
 
 from .rootsys import RootSystemType, coxeter_number
-from .toraldata import build_generic_element, twist_datum, verify_datum
+from .toraldata import build_generic_element, twist_datum
 
 
 def all_irreducible_types(max_rank: int = 8) -> list[RootSystemType]:
@@ -68,20 +68,16 @@ class SweepConfig:
 def sweep_point(t: RootSystemType, p: int, q: int, n: int, twist: bool) -> dict:
     t0 = time.monotonic()
     try:
-        datum = build_generic_element(t, None, p, q, n)
-        report = verify_datum(datum)
-        ok = report.verdict
-        case = datum.case
-        twist_ok = True
-        if twist and ok:
+        datum = build_generic_element(t, None, p, q, n)  # raises unless it verifies
+        case, ok = datum.case, True
+        if twist:
             m_max = n // 2 + 1
             for texp in range(m_max):
                 i = p**texp
                 for unit in (1, max(2, p - 1)):
                     if i * unit < p**m_max:
                         _, trep = twist_datum(datum, i * unit, m_max)
-                        twist_ok = twist_ok and trep.genericity_ok
-        ok = ok and twist_ok
+                        ok = ok and trep.genericity_ok
         err = ""
     except Exception as exc:  # surface construction failures as rows
         ok, case, err = False, "error", f"{type(exc).__name__}: {exc}"

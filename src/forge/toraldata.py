@@ -252,6 +252,7 @@ def datum_from_json(text: str) -> ZeroToralDatum:
     """The datum a JSON text encodes; ValueError unless the text is a
     well-formed datum that re-serializes to the same JSON value."""
     data = json.loads(text)
+    kernel.reject_float_and_bool(data)
     try:
         rs = build_root_system(RootSystemType.parse(data["type"]))
         ext = ExtensionSpec.from_json_dict(data["ext"])

@@ -62,8 +62,16 @@ def _shift_residue(data):
         lambda data: data["coords"].pop(),
         lambda data: data["coords"][0]["residue"].pop(),
         lambda data: data.update(type=5),
+        lambda data: data.update(q=5.0),
+        lambda data: data.update(p=5.0),
+        lambda data: data.update(n=True),
+        lambda data: data["ext"]["residue"].update(f=1.0),
+        lambda data: data["delta"].__setitem__(0, float(data["delta"][0])),
     ],
-    ids=["residue+p", "extra-key", "q-not-p^f", "no-case", "short-coords", "short-residue", "type-not-str"],
+    ids=[
+        "residue+p", "extra-key", "q-not-p^f", "no-case", "short-coords", "short-residue",
+        "type-not-str", "q-float", "p-float", "n-bool", "f-float", "delta-float",
+    ],
 )
 def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
     datum = tmp_path / "a2.json"
@@ -126,6 +134,52 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{name} must be" in err
+
+
+def _set(path, value):
+    """A mutation that sets config[path[0]]...[path[-1]] = value."""
+
+    def mutate(config):
+        for key in path[:-1]:
+            config = config[key]
+        config[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda config: config.pop("p"),
+        lambda config: config["gamma_s"].pop("n"),
+        _set(["u_s"], [[5, 0, 2]]),
+        _set(["u_p"], [100, 100, 100]),
+        _set(["lambda"], {}),
+        _set(["u_s"], "ab"),
+        _set(["extra"], 0),
+        _set(["lambda", "images", 2], 10),
+        _set(["gamma_s", "n"], -1),
+        _set(["u_s", 0, 0], 1.0),
+        _set(["m"], 2.0),
+    ],
+    ids=[
+        "no-p", "group-without-n", "u_s-not-in-S3", "u_p-int", "lambda-empty", "u_s-str",
+        "extra-key", "image-10-mod-9", "n-negative", "u_s-float", "m-float",
+    ],
+)
+def test_congruence_rejects_malformed_model_config(mutate, tmp_path, capsys):
+    from forge.congruence import builtin_free_model
+
+    config = builtin_free_model(3, 2).to_config()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    assert main(["congruence", "--model-config", str(path), "--N", "1", "-o", str(tmp_path / "r.json")]) == 0
+    mutate(config)
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["congruence", "--model-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_congruence_battery_cli(tmp_path):

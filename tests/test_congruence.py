@@ -140,6 +140,16 @@ def test_lambda_homomorphism_rejects_bad_images():
         )  # 3 has additive order 3, image 1 has order 9
 
 
+@pytest.mark.parametrize(
+    "u_s, u_p, delta",
+    [([(5, 0, 2)], [1], []), ([(1, 0, 2)], [9], []), ([(1, 0, 2)], [1], [((0, 1, 2), 9)])],
+    ids=["u_s", "u_p", "delta"],
+)
+def test_model_rejects_generators_outside_their_group(u_s, u_p, delta):
+    with pytest.raises(ValueError, match="not an element of its group"):
+        FiniteModel(SymmetricGroup(3), CyclicGroup(9), u_s, u_p, [1], 3, 2, delta_gens=delta)
+
+
 def test_free_model_orbits_are_cosets():
     model = builtin_cyclic_model(3, 1)
     reps, orbit_index, lam_to, stab = model.orbit_data

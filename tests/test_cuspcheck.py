@@ -27,6 +27,7 @@ from forge.cuspcheck import (
     mat_add,
     mat_mul,
     smallest_nonsquare,
+    unipotent_support_profiles,
     x_class_representatives,
 )
 from forge.linalg import mat_mod, mat_scale
@@ -283,6 +284,32 @@ def test_cusp_sum_identity_sample_full_enumeration_oracle():
     row = [r for r in out["rows"] if r["parabolic"] == "upper"][0]
     assert row["support_points_mod_period"] == support
     assert row["zero"]
+
+
+def test_support_profiles_match_the_full_period_scan():
+    # literal scan of every t modulo the period against the solved support
+    # residue; u(7) and its lower twin put the support at t0 = -7, not 0
+    p, n, m, K = 5, 3, 1, 8
+    char = lambda_character(elliptic_seed(p, K), n, m)
+    samples = default_samples(char, 9) + [
+        ("u7", ((1, 7), (0, 1))),
+        ("l7", ((1, 0), (7, 1))),
+        ("l7.k", mat_mul(((1, 0), (7, 1)), default_samples(char, 4)[3][1], p**K)),
+    ]
+    profiles = unipotent_support_profiles(char, samples)
+    for prof, (parabolic, (name, g)) in zip(
+        profiles, [(par, sample) for par in ("upper", "lower") for sample in samples]
+    ):
+        hist = [0] * p**m
+        for t in range(p ** (n + m)):
+            u = ((1, t), (0, 1)) if parabolic == "upper" else ((1, 0), (t, 1))
+            gu = mat_mul(g, u, p**K)
+            if char.contains(gu):
+                hist[char.value(gu)] += 1
+        assert (prof["parabolic"], prof["sample"]) == (parabolic, name)
+        assert (prof["support_points_mod_period"], prof["histogram"]) == (sum(hist), hist), name
+    supported = {(prof["parabolic"], prof["sample"]) for prof in profiles if prof["support_points_mod_period"]}
+    assert {("upper", "u7"), ("lower", "l7"), ("lower", "l7.k")} <= supported
 
 
 def test_cusp_sum_empty_support_samples():

@@ -4,6 +4,8 @@ Oracles: exhaustive enumeration for small fields, integer exponent
 arithmetic modulo q^n - 1 for the generator-power identities.
 """
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,7 +40,7 @@ def test_frobenius_zero_power_and_base_field_fixed():
     a = ext.from_int(123)
     assert ext.frobenius(a, 0) == a
     for c in range(7):
-        x = ext.from_base(c)
+        x = ext.from_int(c)
         for k in range(1, 4):
             assert ext.frobenius(x, k) == x
 
@@ -165,6 +167,13 @@ def test_extension_json_round_trip():
     assert again.to_json() == ext.to_json()
     a = ext.from_int(97)
     assert ext.element_from_json(ext.element_to_json(a)) == a
+
+
+@pytest.mark.parametrize("key, value", [("p", 7.0), ("f", 1.0), ("n", 2.0), ("f", True)])
+def test_extension_json_rejects_float_and_bool(key, value):
+    data = build_extension(7, 1, 2).to_json_dict()
+    with pytest.raises(ValueError):
+        extension_from_json(json.dumps({**data, key: value}))
 
 
 def test_q_may_be_prime_power():

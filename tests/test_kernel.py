@@ -146,6 +146,70 @@ def test_power_is_repeated_multiplication(shape, e, data):
     assert ring.pow(a, e) == want
 
 
+def _monic(field, coeffs):
+    return tuple(field.from_int(c) for c in coeffs) + (field.one(),)
+
+
+@st.composite
+def frobenius_rings(draw):
+    """(F_q[x]/(h), F_q) for a monic h, often reducible: IntPolyRing over
+    F_p, PolyRing over F_p and PolyRing over F_q's IntPolyRing."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.integers(1, 2))
+    field = PrimeField(p) if f == 1 else build_extension(p, 1, f)
+    deg = draw(st.integers(1, 5 if f == 1 else 3))
+    h = _monic(field, draw(st.lists(st.integers(0, field.size - 1), min_size=deg, max_size=deg)))
+    if f == 1 and draw(st.booleans()):
+        return kernel.PolyRing(field, h), field
+    return field.poly_ring(h), field
+
+
+@given(frobenius_rings(), st.data())
+def test_frobenius_columns_apply_is_the_q_power(shape, data):
+    ring, field = shape
+    cols = kernel.frobenius_columns(ring, field.size)
+    digits = st.lists(st.integers(0, field.size - 1), min_size=ring.deg, max_size=ring.deg)
+    a = tuple(field.from_int(c) for c in data.draw(digits))
+    assert ring.apply(cols, a) == ring.pow(a, field.size)
+
+
+def _pow_rabin(field, modulus):
+    """Rabin's test by square-and-multiply, the reference for is_irreducible."""
+    n = len(modulus) - 1
+    if n == 1:
+        return True
+    ring = field.poly_ring(modulus)
+    zero = field.zero()
+    x = (zero, field.one()) + (zero,) * (n - 2)
+    if ring.pow(x, field.size**n) != x:
+        return False
+    for ell in sympy.primefactors(n):
+        y = ring.pow(x, field.size ** (n // ell))
+        if kernel.gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "p,f,degrees",
+    [(2, 1, (2, 3, 4, 5)), (3, 1, (2, 3, 4, 5)), (5, 1, (2, 3)), (2, 2, (2, 3)), (3, 2, (2, 3))],
+    ids=["F2", "F3", "F5", "F4", "F9"],
+)
+def test_is_irreducible_matches_pow_rabin_on_every_candidate(p, f, degrees):
+    # degree 5 has reducible candidates, such as (x^2 + x + 1)(x^3 + x + 1)
+    # over F_2, that only the final check x^(q^5) = x rejects
+    field = PrimeField(p) if f == 1 else build_extension(p, 1, f)
+    q = field.size
+    for deg in degrees:
+        verdicts = []
+        for enc in range(q**deg):
+            modulus = _monic(field, [(enc // q**i) % q for i in range(deg)])
+            verdicts.append(kernel.is_irreducible(field, modulus))
+            assert verdicts[-1] == _pow_rabin(field, modulus), modulus
+        # Gauss: d * #(monic irreducibles of degree d) = sum over e | d of mu(e) q^(d/e)
+        assert sum(verdicts) == sum(sympy.mobius(e) * q ** (deg // e) for e in sympy.divisors(deg)) // deg
+
+
 @pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5, 7, 11, 13, 17, 19) for f in (1, 2, 3)])
 def test_smallest_irreducible_against_sympy(p, f):
     # first monic candidate in encoding order that sympy calls irreducible
