@@ -45,9 +45,6 @@ class CycloInt:
         if len(self.counts) != n:
             raise ValueError("count vector has wrong length")
 
-    def copy(self) -> "CycloInt":
-        return CycloInt(self.p, self.k, self.counts)
-
     def add_root(self, exponent: int, mult: int = 1) -> None:
         """Accumulate mult * zeta^exponent."""
         self.counts[exponent % (self.p**self.k)] += mult

@@ -11,7 +11,7 @@ generators, special elements) reproducible.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import sympy
@@ -58,6 +58,9 @@ class PrimeField:
 
     def smul(self, n: int, a: int) -> int:
         return n * a % self.p
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -109,9 +112,6 @@ class FieldExtension:
     def is_zero(self, a: tuple) -> bool:
         return a == self.zero()
 
-    def in_base_field(self, a: tuple) -> bool:
-        return all(self.base.is_zero(c) for c in a[1:])
-
     # -- arithmetic ------------------------------------------------------
     def add(self, a, b):
         return self._ring.add(a, b)
@@ -149,12 +149,20 @@ class FieldExtension:
             a = self._ring.apply(self._frobenius_matrix, a)
         return a
 
-    def trace(self, a: tuple) -> tuple:
-        out = self.zero()
-        for _ in range(self.n):
-            out = self.add(out, a)
+    def _orbit_fold(self, op, a: tuple) -> tuple:
+        """op(...op(op(a, sigma(a)), sigma^2(a))..., sigma^(n-1)(a))."""
+        out = a
+        for _ in range(self.n - 1):
             a = self._ring.apply(self._frobenius_matrix, a)
+            out = op(out, a)
         return out
+
+    def trace(self, a: tuple) -> tuple:
+        return self._orbit_fold(self.add, a)
+
+    def norm(self, a: tuple) -> tuple:
+        """a * sigma(a) * ... * sigma^(n-1)(a) = a^((q^n - 1)/(q - 1)), in F_q."""
+        return self._orbit_fold(self.mul, a)
 
     def minimal_polynomial_degree(self, a: tuple) -> int:
         """Degree of the minimal polynomial over F_q = Frobenius orbit size."""
@@ -183,21 +191,49 @@ class FieldExtension:
         assert self.minimal_polynomial_degree(e) == self.n
         return e
 
-    def multiplicative_generator(self) -> tuple:
-        """Smallest element (encoding order) of multiplicative order q^n - 1."""
-        if self._generator is not None:
-            return self._generator
+    @cached_property
+    def _order_primes(self) -> tuple[tuple, tuple]:
+        """The primes of q^n - 1 that divide q - 1, and the others."""
         order = self.size - 1
         if order >= _FACTOR_EFFORT_BOUND:
             raise ValueError("factorization effort bound exceeded for q^n - 1")
         primes = sympy.primefactors(order)
-        one = self.one()
-        for enc in range(2, self.size):
-            c = self.from_int(enc)
-            if all(self.pow(c, order // ell) != one for ell in primes):
-                self._generator = c
-                return c
-        raise AssertionError("no generator found")
+        return (
+            tuple(ell for ell in primes if (self.q - 1) % ell == 0),
+            tuple(ell for ell in primes if (self.q - 1) % ell),
+        )
+
+    def has_full_order(self, c: tuple) -> bool:
+        """c^((q^n - 1)/ell) != 1 for every prime ell | q^n - 1; for c != 0,
+        that c generates the unit group."""
+        base_primes, other_primes = self._order_primes
+        return kernel.full_order(
+            self.base.pow, self.norm(c)[0], self.q - 1, base_primes, self.base.one()
+        ) and kernel.full_order(self.pow, c, self.size - 1, other_primes, self.one())
+
+    def multiplicative_generator(self) -> tuple:
+        """Smallest element (encoding order) of multiplicative order q^n - 1.
+
+        Each candidate c is tested for c^((Q - 1)/ell) != 1 at every prime
+        ell | Q - 1, Q = q^n, with three exact reductions:
+          - norm: for ell | q - 1, c^((Q-1)/ell) = N(c)^((q-1)/ell), since
+            (Q-1)/ell = (Q-1)/(q-1) * (q-1)/ell and N(c) = c^((Q-1)/(q-1)), so
+            these primes are tested in F_q after n - 1 Frobenius steps and
+            products; for odd q, ell = 2 alone rejects the squares, half of
+            all candidates, with no power in F_{q^n};
+          - product tree: `kernel.full_order` tests a set of k primes in one
+            full power plus ~log2(k) levels of small ones, not k full powers;
+          - for n > 1 the loop starts at encoding q: the elements below it
+            form F_q, whose orders divide q - 1 < Q - 1.  For n = 1 it starts
+            at 1, which passes only when Q - 1 = 1 has no primes (F_2).
+        """
+        if self._generator is None:
+            for enc in range(self.q if self.n > 1 else 1, self.size):
+                c = self.from_int(enc)
+                if self.has_full_order(c):
+                    self._generator = c
+                    break
+        return self._generator
 
     def generator_power(self, exponent: int) -> tuple:
         return self.pow(self.multiplicative_generator(), exponent)

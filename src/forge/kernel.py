@@ -3,9 +3,10 @@
 Those rings are F_p[y]/(g), the Galois ring GR(p^K, f) = Z/p^K[y]/(g~)
 and Z/p^K[T]/(1 + T + ... + T^(p^m - 1)) with int coefficients, and
 F_q[x]/(h) with q = p^f > p and R[x]/(x^e - p) over a coefficient ring
-with tuple elements.  The module also holds square-and-multiply, the q-power
-Frobenius as columns, Rabin's test by iterated Frobenius with the modulus
-search, the p-adic valuation, the prime-power parser and the JSON int check.
+with tuple elements.  The module also holds square-and-multiply, the
+product-tree order test, the q-power Frobenius as columns, Rabin's test by
+iterated Frobenius with the modulus search, the p-adic valuation, the
+prime-power parser and the JSON int check.
 
 Polynomials are little-endian tuples; a modulus lists every coefficient,
 the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
@@ -24,6 +25,7 @@ these.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import sympy
@@ -168,8 +170,35 @@ def power(mul: Callable, a, e: int, one):
     return result
 
 
+def full_order(pow: Callable, a, order: int, primes: Sequence[int], one) -> bool:
+    """True when a^(order/ell) != one for every ell in `primes`, primes that
+    divide `order`; with every prime of `order` and a^order = one, a has order
+    exactly `order`.  forge's only order test; pow(x, e) is the group's power.
+
+    A product tree (V. Shoup, Math. Comp. 58, 1992): a node holds primes S
+    and x = a^(order/prod S), so x^(prod S/ell) = a^(order/ell).  It splits S
+    into halves A and B and hands x^(prod B) to A and x^(prod A) to B; x = one
+    rejects at once, as every a^(order/ell) below it is one.  After the first
+    power each of the ~log2(k) levels costs ~log2(prod S) squarings, against
+    k full powers one prime at a time.
+    """
+
+    def test(x, primes):
+        if x == one:
+            return False
+        if len(primes) == 1:
+            return True
+        left, right = primes[: len(primes) // 2], primes[len(primes) // 2 :]
+        return test(pow(x, math.prod(right)), left) and test(pow(x, math.prod(left)), right)
+
+    return not primes or test(pow(a, order // math.prod(primes)), primes)
+
+
 def gcd_degree(field, a: list, b: list) -> int:
-    """Degree of gcd(a, b) over `field`, -1 when both are zero; consumes a, b."""
+    """Degree of gcd(a, b) over `field`, -1 when both are zero; consumes a, b.
+
+    b's leading coefficient is inverted once per swap, not once per step;
+    ZeroDivisionError when b is zero and a is not."""
 
     def deg(u):
         for i in range(len(u) - 1, -1, -1):
@@ -177,15 +206,19 @@ def gcd_degree(field, a: list, b: list) -> int:
                 return i
         return -1
 
-    while deg(a) >= 0:
-        da, db = deg(a), deg(b)
+    da, db = deg(a), deg(b)
+    lead_inv = None
+    while da >= 0:
         if da < db:
-            a, b = b, a
-            continue
-        c = field.mul(a[da], field.inv(b[db]))
+            a, b, da, db = b, a, db, da
+            lead_inv = None
+        if lead_inv is None:
+            lead_inv = field.inv(b[db])
+        c = field.mul(a[da], lead_inv)
         for j in range(db + 1):
             a[da - db + j] = field.sub(a[da - db + j], field.mul(c, b[j]))
-    return deg(b)
+        da = deg(a)
+    return db
 
 
 def frobenius_columns(ring, q: int) -> tuple:

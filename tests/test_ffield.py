@@ -7,9 +7,10 @@ arithmetic modulo q^n - 1 for the generator-power identities.
 import json
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from forge.ffield import build_extension, extension_from_json
+from forge.ffield import FieldExtension, build_extension, extension_from_json
 
 
 def test_build_f25_frobenius_is_fifth_power():
@@ -67,14 +68,14 @@ def test_fixed_set_of_frobenius_is_base_field():
             continue
         fixed = [a for a in ext.elements() if ext.frobenius(a) == a]
         assert len(fixed) == ext.q
-        assert all(ext.in_base_field(a) for a in fixed)
+        assert all(a[1:] == ext.zero()[1:] for a in fixed)
 
 
 def test_trace_lands_in_base_field():
     ext = build_extension(5, 1, 3)
     for enc in range(0, 125, 7):
         a = ext.from_int(enc)
-        assert ext.in_base_field(ext.trace(a))
+        assert ext.trace(a)[1:] == ext.zero()[1:]
 
 
 def test_trace_zero_witness_f9_exhaustive_oracle():
@@ -159,6 +160,67 @@ def test_generator_has_full_order_f49():
         cur = ext.mul(cur, g)
         seen.add(cur)
     assert len(seen) == 48
+
+
+def _per_prime_verdicts(ext):
+    """The generator test as it was, c^((Q - 1)/ell) != 1 at each prime
+    ell | Q - 1, for every nonzero c in encoding order.  The powers are read
+    off a table of g^k for a g whose Q - 1 powers are distinct, so g has full
+    order; square-and-multiply per prime would take ~30 s on F_{(5^2)^3}."""
+    order, one = ext.size - 1, ext.one()
+    g = ext.multiplicative_generator()
+    powers = [one]
+    for _ in range(order - 1):
+        powers.append(ext.mul(powers[-1], g))
+    log = {a: k for k, a in enumerate(powers)}
+    assert len(log) == order
+    primes = sympy.primefactors(order)
+    return [
+        all(powers[log[ext.from_int(enc)] * (order // ell) % order] != one for ell in primes)
+        for enc in range(1, ext.size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,f,n",
+    # q - 1 and (q^n - 1)/(q - 1) share the prime 2 in F_{5^2} and F_{(3^2)^2},
+    # 3 in F_{7^3}, F_{13^3} and F_{(5^2)^3}; in F_{2^6}, q - 1 = 1 has none
+    [(5, 1, 2), (7, 1, 3), (3, 2, 2), (13, 1, 3), (5, 2, 3), (2, 1, 6)],
+    ids=["F_5^2", "F_7^3", "F_(3^2)^2", "F_13^3", "F_(5^2)^3", "F_2^6"],
+)
+def test_full_order_test_agrees_with_per_prime_test(p, f, n):
+    ext = build_extension(p, f, n)
+    verdicts = [ext.has_full_order(ext.from_int(enc)) for enc in range(1, ext.size)]
+    assert verdicts == _per_prime_verdicts(ext)
+    assert sum(verdicts) == sympy.totient(ext.size - 1)
+    assert ext.multiplicative_generator() == ext.from_int(verdicts.index(True) + 1)
+
+
+def test_norm_is_the_power_into_the_base_field():
+    for (p, f, n) in [(7, 1, 3), (3, 2, 2), (2, 1, 6), (5, 1, 1)]:
+        ext = build_extension(p, f, n)
+        for enc in range(0, ext.size, 1 + ext.size // 60):
+            a = ext.from_int(enc)
+            assert ext.norm(a) == ext.pow(a, (ext.size - 1) // (ext.q - 1))
+            assert ext.norm(a)[1:] == ext.zero()[1:]
+
+
+@pytest.mark.parametrize("p,enc", [(2, 1), (3, 2), (7, 3)])
+def test_generator_of_prime_field(p, enc):
+    # F_2's unit group is trivial, so its generator is 1
+    ext = build_extension(p, 1, 1)
+    assert ext.multiplicative_generator() == ext.from_int(enc)
+
+
+def test_generator_search_exponent_budget():
+    # a fresh instance, so the search runs cold; every element below
+    # encoding 289 lies in F_289, and the winner is 292
+    ext = FieldExtension(17, 2, 12)
+    exponent_bits = []
+    pow_ = ext.pow
+    ext.pow = lambda a, e: exponent_bits.append(e.bit_length()) or pow_(a, e)
+    assert ext.encode(ext.multiplicative_generator()) == 292
+    assert sum(exponent_bits) <= 4 * (ext.size - 1).bit_length()
 
 
 def test_extension_json_round_trip():

@@ -146,6 +146,16 @@ def test_power_is_repeated_multiplication(shape, e, data):
     assert ring.pow(a, e) == want
 
 
+@given(st.integers(1, 3000), st.data())
+def test_full_order_matches_per_prime_test_mod_p(i, data):
+    # (Z/p)^x with the builtin pow, on any subset of the primes of p - 1
+    p = sympy.prime(i)
+    a = data.draw(st.integers(1, p - 1))
+    primes = [ell for ell in sympy.primefactors(p - 1) if data.draw(st.booleans())]
+    want = all(pow(a, (p - 1) // ell, p) != 1 for ell in primes)
+    assert kernel.full_order(lambda x, e: pow(x, e, p), a, p - 1, primes, 1) == want
+
+
 def _monic(field, coeffs):
     return tuple(field.from_int(c) for c in coeffs) + (field.one(),)
 
@@ -171,6 +181,33 @@ def test_frobenius_columns_apply_is_the_q_power(shape, data):
     digits = st.lists(st.integers(0, field.size - 1), min_size=ring.deg, max_size=ring.deg)
     a = tuple(field.from_int(c) for c in data.draw(digits))
     assert ring.apply(cols, a) == ring.pow(a, field.size)
+
+
+class _CountingField(PrimeField):
+    inversions = 0
+
+    def inv(self, a):
+        self.inversions += 1
+        return super().inv(a)
+
+
+_COEFFS = st.lists(st.integers(0, 12), min_size=1, max_size=9)
+
+
+@given(st.sampled_from(PRIMES), _COEFFS, _COEFFS)
+def test_gcd_degree_against_sympy(p, a, b):
+    field = _CountingField(p)
+    a, b = [c % p for c in a], [c % p for c in b]
+    da, db = (max((i for i, c in enumerate(u) if c), default=-1) for u in (a, b))
+    if db < 0 <= da:
+        with pytest.raises(ZeroDivisionError):
+            kernel.gcd_degree(field, a, b)
+        return
+    x = sympy.Symbol("x")
+    want = sympy.Poly(a[::-1], x, modulus=p).gcd(sympy.Poly(b[::-1], x, modulus=p))
+    assert kernel.gcd_degree(field, a, b) == (want.degree() if not want.is_zero else -1)
+    # one inversion per divisor; the divisors' degrees fall strictly
+    assert field.inversions <= min(da, db) + 1
 
 
 def _pow_rabin(field, modulus):
