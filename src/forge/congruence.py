@@ -151,7 +151,10 @@ class FiniteModel:
     # -- base set -----------------------------------------------------------
     @cached_property
     def base_set(self) -> tuple:
-        """Right cosets Delta\\(Gamma_S x Gamma_p), canonical representatives."""
+        """Right cosets Delta\\(Gamma_S x Gamma_p), canonical representatives;
+        with Delta trivial each coset is one element and stands for itself."""
+        if len(self.delta) == 1:
+            return self.product.elements
         coset_of = {}
         reps = []
         for g in self.product.elements:
@@ -167,6 +170,8 @@ class FiniteModel:
 
     def act(self, z, g) -> object:
         """Right action of the product group on the base set."""
+        if len(self.delta) == 1:
+            return self.product.mul(z, g)
         _ = self.base_set
         return self._coset_of[self.product.mul(z, g)]
 
@@ -175,11 +180,25 @@ class FiniteModel:
     def orbit_data(self):
         """Orbits of U = U_S x U_p with transporter lambda-values.
 
-        Returns (reps, orbit_index, lam_to, stab_exponents) where lam_to[z]
-        is lambda of the p-part of a transporter from the orbit
-        representative to z, and stab_exponents[j] is t with
-        lambda(Stab) = p^t * Z/p^m.
+        Returns (reps, orbit_index, lam_to, stab_exponents) where reps are
+        the orbit minima in increasing order, lam_to[z] is lambda of the
+        p-part of a transporter from the orbit representative to z, and
+        stab_exponents[j] is t with lambda(Stab) = p^t * Z/p^m.
+
+        With Delta trivial, U acts on Gamma_S x Gamma_p by right
+        multiplication, factor by factor, and freely: z*u = z forces u = 1.
+        Hence the orbit of (s, g) is the product s*U_S x g*U_p of a U_S-orbit
+        on Gamma_S and a U_p-orbit on Gamma_p; its minimum in the product
+        order is the pair of the factor minima; the transporter from
+        (s0, g0) to (s, g) is the unique u = (s0^-1 s, g0^-1 g), so lam_to
+        is the Gamma_p walk's lambda-value at g alone; and Stab = 1 gives
+        lambda(Stab) = 0 = p^m * Z/p^m, i.e. t = m on every orbit.  Two
+        factor walks replace the walk over the product.  Otherwise the
+        walk runs on the base set and reads the stabilizers off its
+        Schreier generators.
         """
+        if len(self.delta) == 1:
+            return self._free_orbit_data()
         es, ep = self.gamma_s.identity(), self.gamma_p.identity()
         gens = [(gs, ep) for gs in self.u_s_gens] + [(es, gp) for gp in self.u_p_gens]
         lam_gens = [0] * len(self.u_s_gens) + [self.lam[gp] for gp in self.u_p_gens]
@@ -202,6 +221,37 @@ class FiniteModel:
             lam_to.update(orbit)
             reps.append(z0)
         return tuple(reps), orbit_index, lam_to, tuple(stab_exponents)
+
+    def _free_orbit_data(self):
+        """orbit_data for Delta trivial, as products of factor orbits."""
+        mod = self.p**self.m
+
+        def right_orbits(group, gens, lam_gens):
+            # each element's orbit index and transporter lambda, the minima
+            index, lam, mins = {}, {}, []
+            for x0 in group.elements:
+                if x0 in index:
+                    continue
+                orbit, clashes = closure(
+                    x0, gens, group.mul, lambda v, k: (v + lam_gens[k]) % mod, 0
+                )
+                assert not clashes, "right multiplication is not free"
+                index.update(dict.fromkeys(orbit, len(mins)))
+                lam.update(orbit)
+                mins.append(x0)
+            return index, lam, mins
+
+        s_index, _, s_mins = right_orbits(self.gamma_s, self.u_s_gens, [0] * len(self.u_s_gens))
+        p_index, p_lam, p_mins = right_orbits(
+            self.gamma_p, self.u_p_gens, [self.lam[gp] for gp in self.u_p_gens]
+        )
+        width = len(p_mins)
+        reps = tuple((s, g) for s in s_mins for g in p_mins)
+        orbit_index = {
+            (s, g): i * width + j for s, i in s_index.items() for g, j in p_index.items()
+        }
+        lam_to = {(s, g): lam for s in s_index for g, lam in p_lam.items()}
+        return reps, orbit_index, lam_to, (self.m,) * len(reps)
 
     # -- serialization --------------------------------------------------------
     def to_config(self) -> dict:
@@ -426,12 +476,13 @@ class HeckeOperator:
                                 count += 1
                     rows[krow][jcol] = count % model.p**model.m
             return linalg.mat_freeze(rows)
-        # full-ring coefficients: evaluate, then solve in each fixed basis
+        # full-ring coefficients: evaluate, then solve each target orbit's
+        # images in its fixed basis at once
         ring = space.ring
         dim = space.dimension
         rows = [[0] * dim for _ in range(dim)]
-        col = 0
-        for j, i in space.basis_index:
+        images: list = [[] for _ in space.orbit_reps]  # (column, value) per target orbit
+        for col, (j, i) in enumerate(space.basis_index):
             b = space.orbit_bases[j][i]
             for krow_orbit, z in enumerate(space.orbit_reps):
                 value = ring.zero()
@@ -441,18 +492,21 @@ class HeckeOperator:
                         value = ring.add(
                             value, ring.mul(ring.psi(-space.lam_to[z2]), b)
                         )
-                if ring.is_zero(value):
-                    continue
-                basis_k = space.orbit_bases[krow_orbit]
-                assert basis_k, "operator image met a killed orbit"
-                bmat = linalg.mat_freeze(
-                    [[bb[coord] for bb in basis_k] for coord in range(ring.deg)]
-                )
-                sol = linalg.solve_unit_pivot(bmat, value, ring.p, ring.K)
-                row_base = space.basis_index.index((krow_orbit, 0))
+                if not ring.is_zero(value):
+                    images[krow_orbit].append((col, value))
+        for krow_orbit, found in enumerate(images):
+            if not found:
+                continue
+            basis_k = space.orbit_bases[krow_orbit]
+            assert basis_k, "operator image met a killed orbit"
+            bmat = linalg.mat_freeze(
+                [[bb[coord] for bb in basis_k] for coord in range(ring.deg)]
+            )
+            sols = linalg.solve_unit_pivot(bmat, [v for _, v in found], ring.p, ring.K)
+            row_base = space.basis_index.index((krow_orbit, 0))
+            for (col, _), sol in zip(found, sols):
                 for i2, c in enumerate(sol):
                     rows[row_base + i2][col] = c
-            col += 1
         return linalg.mat_freeze(rows)
 
 
@@ -563,7 +617,20 @@ def decompose_rational(space: EquivariantSpace) -> dict:
 
 def quotient_map_check(model: FiniteModel) -> tuple[bool, dict]:
     """Whether reducing full-ring functions mod (T-1) hits every quotient
-    function; true exactly on free-action models."""
+    function; true exactly when every orbit has t = m, as on free-action
+    models.
+
+    On an orbit with stabilizer exponent t the functions form the
+    T^(p^t)-fixed module Fix, free on the basis b_i = cofactor * T^i.  The
+    image at T = 1 is generated by the classes of the b_i, so it has order
+    p^m / gcd(p^m, classes); Fix/(T-1)Fix has order p^v(d), d the
+    determinant of T - 1 on Fix in that basis.  The two must agree.  Its
+    columns are the coordinates of the (T-1)b_i, and since the coordinate
+    matrix of the basis is the same for all of them, one elimination
+    solves the whole shifted basis.  The cofactor is prod_(j > t)
+    Phi_(p^j), whose class is p^(m-t): a unit exactly when t = m, which a
+    free action gives on every orbit (see FiniteModel.orbit_data).
+    """
     space = build_space(model, AM_PSI, K=model.m + 1)
     ring = space.ring
     p, m = model.p, model.m
@@ -582,10 +649,11 @@ def quotient_map_check(model: FiniteModel) -> tuple[bool, dict]:
                 [[b[c] for b in basis] for c in range(ring.deg)]
             )
             shifted = [ring.sub(ring.mul(ring.psi(1), b), b) for b in basis]
-            cols = [
-                linalg.solve_unit_pivot(coord, v, ring.p, ring.K) for v in shifted
-            ]
-            mat = linalg.mat_freeze(list(zip(*cols)))  # columns -> matrix
+            cols = linalg.solve_unit_pivot(coord, shifted, ring.p, ring.K)
+            # every lift of the matrix over Z/p^K has the same det mod p^K;
+            # the centered one keeps Bareiss's integers small
+            half = ring.mod // 2
+            mat = tuple(zip(*([c - ring.mod if c > half else c for c in col] for col in cols)))
             d = linalg.det(mat) % ring.mod
             quot_size = p ** kernel.vp(d, p) if d else 1
         else:

@@ -85,10 +85,6 @@ class TruncatedMatrix:
             mat_mul(self.entries, other.entries, self.p**k),
         )
 
-    def scale_uniformizer(self, exponent: int) -> "TruncatedMatrix":
-        """Multiply by p^exponent, tracked in the offset."""
-        return TruncatedMatrix(self.p, self.K, self.offset - exponent, self.entries)
-
     def scale_by_int(self, c: int) -> "TruncatedMatrix":
         return TruncatedMatrix(self.p, self.K, self.offset, mat_scale(c, self.entries))
 

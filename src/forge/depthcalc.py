@@ -98,10 +98,6 @@ def character_image_order(r: Fraction, lat: FilteredLattice) -> int:
     return int(t / lat.e_F) + 1
 
 
-def character_image_order_value(r: Fraction, lat: FilteredLattice, p: int) -> int:
-    return p ** character_image_order(r, lat)
-
-
 # ---------------------------------------------------------------------------
 # level maps
 # ---------------------------------------------------------------------------
@@ -243,7 +239,16 @@ class TruncatedRing(kernel.PolyRing):
         self.p, self.f, self.e, self.K = p, f, e, K
         self.mod = p**K
         R = kernel.IntPolyRing(build_extension(p, 1, f).modulus, self.mod)
-        super().__init__(R, (R.reduce([-p]),) + (R.zero(),) * (e - 1) + (R.one(),))
+        super().__init__(R, _eisenstein_modulus(R, p, e))
+        # the norm's tower: (ell, R' = R[rho]/(rho^(d/ell) - p)) for each step
+        # down from degree d, ell the smallest prime of d; the last R' is R
+        self._norm_steps = []
+        d = e
+        while d > 1:
+            ell = next(k for k in range(2, d + 1) if d % k == 0)
+            d //= ell
+            sub = kernel.PolyRing(R, _eisenstein_modulus(R, p, d)) if d > 1 else R
+            self._norm_steps.append((ell, sub))
 
     def uniformizer_power(self, j: int):
         """pi^j = x^(j mod e) * p^(j // e) as a ring element."""
@@ -266,40 +271,60 @@ class TruncatedRing(kernel.PolyRing):
         return out
 
     def norm_to_unramified(self, a):
-        """Norm to the coefficient ring: det of multiplication by a."""
-        e = self.e
-        if e == 1:
+        """Norm to the coefficient ring R: det of multiplication by a.
+
+        By prime-degree steps.  Let ell be the smallest prime of e and
+        rho = x^ell.  Then R[x]/(x^e - p) = R'[x]/(x^ell - rho) with
+        R' = R[rho]/(rho^(e/ell) - p), free over R' on 1, x, ..., x^(ell-1),
+        and a = sum_j a_j x^j with a_j = a[j::ell] in R'.  Both algebras
+        are free, so norms are transitive (Bourbaki, Algebra III, sec. 9):
+        N(a) = N_(R'/R)(det over R' of multiplication by a), and R'/R has
+        the same shape with e/ell in place of e.  The columns of the
+        ell x ell matrix are a, x*a, ..., x^(ell-1)*a in that basis, where
+        x * (c_0, ..., c_(ell-1)) = (rho*c_(ell-1), c_0, ..., c_(ell-2)) and
+        rho * (r_0, ..., r_(d-1)) = (p*r_(d-1), r_0, ..., r_(d-2)) in R'.
+        At ell = 2 the determinant is a_0^2 - rho*a_1^2.  The last step has
+        e/ell = 1: there R' is R itself, rho = p and a_j = a[j].
+        """
+        if self.e == 1:
             return a[0]
-        cols = []
-        basis_x = [self.uniformizer_power(t) for t in range(e)]
-        for t in range(e):
-            cols.append(self.mul(a, basis_x[t]))
-        # det over the commutative coefficient ring, Leibniz expansion
-        R = self.ring
-        total = R.zero()
-        for perm in itertools.permutations(range(e)):
-            sign = _perm_sign(perm)
-            term = cols[0][perm[0]]
-            for col in range(1, e):
-                term = R.mul(term, cols[col][perm[col]])
-            total = R.add(total, term) if sign > 0 else R.sub(total, term)
-        return total
+        R, p = self.ring, self.p
+        for ell, sub in self._norm_steps:
+            last = sub is R
+            col = list(a) if last else [a[j::ell] for j in range(ell)]
+            cols = [col]
+            for _ in range(ell - 1):
+                top = col[-1]
+                rho_top = R.smul(p, top) if last else (R.smul(p, top[-1]),) + top[:-1]
+                col = [rho_top] + col[:-1]
+                cols.append(col)
+            a = _det(sub, cols)
+        return a
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _eisenstein_modulus(R, p: int, d: int) -> tuple:
+    """x^d - p over the coefficient ring R, little-endian."""
+    return (R.reduce([-p]),) + (R.zero(),) * (d - 1) + (R.one(),)
+
+
+def _det(ring, cols) -> tuple:
+    """Determinant over a commutative ring of the matrix with these columns,
+    without division: Laplace expansion along each next row, the minors on
+    the rows so far memoized by column set; n * (2^(n-1) - 1) products, 2
+    at n = 2 and 9 at n = 3."""
+    n = len(cols)
+    minors = {(j,): cols[j][0] for j in range(n)}
+    for r in range(1, n):
+        expanded = {}
+        for cset in itertools.combinations(range(n), r + 1):
+            # row r, column cset[i]: sign (-1)^(r + i), + at i = r
+            acc = ring.mul(cols[cset[r]][r], minors[cset[:r]])
+            for i in range(r - 1, -1, -1):
+                term = ring.mul(cols[cset[i]][r], minors[cset[:i] + cset[i + 1 :]])
+                acc = ring.sub(acc, term) if (r - i) % 2 else ring.add(acc, term)
+            expanded[cset] = acc
+        minors = expanded
+    return minors[tuple(range(n))]
 
 
 def filtration_level_exponent(p: int, e: int, i: int) -> int:

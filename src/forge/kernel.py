@@ -159,14 +159,17 @@ class PolyRing:
 
 
 def power(mul: Callable, a, e: int, one):
-    """a^e for e >= 0 by square-and-multiply under the product `mul`."""
-    result = one
-    while e:
-        if e & 1:
+    """a^e for e >= 0 by square-and-multiply under the product `mul`.
+
+    Left to right from a at the top set bit: one squaring per further bit and
+    one product with a per further set bit, so `one` is never multiplied."""
+    if e == 0:
+        return one
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
     return result
 
 

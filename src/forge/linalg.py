@@ -135,16 +135,17 @@ def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     return (q if q else [0]), a
 
 
-def solve_unit_pivot(b: Matrix, v: Vector, p: int, k: int) -> Vector:
-    """Solve B*c = v over Z/p^K for B with unit-pivot (mod p) column space.
+def solve_unit_pivot(b: Matrix, vs: Sequence[Vector], p: int, k: int) -> list[Vector]:
+    """Solve B*c = v over Z/p^K for every v in vs, B with unit-pivot (mod p)
+    column space; one elimination serves all right-hand sides.
 
     Columns of B must reduce mod p to independent vectors (a basis of a
-    direct summand); then the solution is unique mod p^K.  Raises if no
-    solution exists.
+    direct summand); then each solution is unique mod p^K.  Raises if any
+    of the systems has no solution.
     """
     mod = p**k
     nrows, ncols = len(b), len(b[0])
-    m = [[b[i][j] % mod for j in range(ncols)] + [v[i] % mod] for i in range(nrows)]
+    m = [[x % mod for x in b[i]] + [v[i] % mod for v in vs] for i in range(nrows)]
     pivots: list[int] = []
     row_used = [False] * nrows
     for col in range(ncols):
@@ -163,10 +164,7 @@ def solve_unit_pivot(b: Matrix, v: Vector, p: int, k: int) -> Vector:
                 m[i] = [(x - c * y) % mod for x, y in zip(m[i], m[piv])]
         row_used[piv] = True
         pivots.append(piv)
-    sol = [0] * ncols
-    for col, piv in enumerate(pivots):
-        sol[col] = m[piv][ncols]
     for i in range(nrows):
-        if not row_used[i] and m[i][ncols] % mod != 0:
+        if not row_used[i] and any(m[i][ncols:]):
             raise ValueError("inconsistent system over Z/p^K")
-    return tuple(sol)
+    return [tuple(m[piv][ncols + r] for piv in pivots) for r in range(len(vs))]

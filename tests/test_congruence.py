@@ -261,6 +261,76 @@ def test_schreier_stabilizers_match_the_scan_with_nontrivial_delta():
     assert exponents == [(1, 1, 1), (1, 1, 1), (1, 1), (2,), (1, 1), (2, 1), (3, 2)]
 
 
+def walked_orbit_data(model: FiniteModel):
+    """Reference for Delta = 1: the Schreier walk over all of Gamma_S x
+    Gamma_p, acting by the product's own multiplication."""
+    es, ep = model.gamma_s.identity(), model.gamma_p.identity()
+    gens = [(gs, ep) for gs in model.u_s_gens] + [(es, gp) for gp in model.u_p_gens]
+    lam_gens = [0] * len(model.u_s_gens) + [model.lam[gp] for gp in model.u_p_gens]
+    mod = model.p**model.m
+    orbit_index, lam_to, reps, stab_exponents = {}, {}, [], []
+    for z0 in model.product.elements:
+        if z0 in orbit_index:
+            continue
+        orbit, clashes = closure(
+            z0, gens, model.product.mul, lambda lam, k: (lam + lam_gens[k]) % mod, 0
+        )
+        stab_exponents.append(kernel.vp(math.gcd(mod, *(a - b for a, b in clashes)), model.p))
+        orbit_index.update(dict.fromkeys(orbit, len(reps)))
+        lam_to.update(orbit)
+        reps.append(z0)
+    return tuple(reps), orbit_index, lam_to, tuple(stab_exponents)
+
+
+def free_models() -> list:
+    models = [
+        build(p, m)
+        for p in (3, 5)
+        for m in (1, 2, 3)
+        for build in (builtin_free_model, builtin_cyclic_model, builtin_zero_lambda_model)
+    ]
+    # U_S of index 3 in S_3 and U_p = Z/3 x Z/9 of index 9 in Heis(3) x Z/9:
+    # both factors have several orbits, and lambda is nonzero on each generator
+    models.append(
+        FiniteModel(
+            SymmetricGroup(3),
+            DirectProduct(HeisenbergGroup(3), CyclicGroup(9)),
+            [(1, 0, 2)],
+            [((1, 0, 0), 0), ((0, 0, 0), 1)],
+            [3, 1],
+            3,
+            2,
+            name="hand-built",
+        )
+    )
+    return models
+
+
+def test_free_orbit_data_equals_the_walk():
+    models = free_models()
+    for model in models:
+        assert model.orbit_data == walked_orbit_data(model), model.name
+    reps, orbit_index, _, stab = models[-1].orbit_data
+    assert len(reps) == 3 * 9 and stab == (2,) * 27
+    assert len(set(orbit_index.values())) == 27
+
+
+def test_free_orbit_data_makes_no_act_call(monkeypatch):
+    calls = []
+    act = FiniteModel.act
+
+    def counted(self, z, g):
+        calls.append(z)
+        return act(self, z, g)
+
+    monkeypatch.setattr(FiniteModel, "act", counted)
+    model = builtin_free_model(5, 3)
+    reps, orbit_index, lam_to, stab = model.orbit_data
+    assert calls == []
+    assert len(orbit_index) == len(lam_to) == len(model.base_set) == 6 * 5**3 * 5**3
+    assert len(reps) == 3 and stab == (3, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # Hecke operators
 # ---------------------------------------------------------------------------

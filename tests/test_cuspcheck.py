@@ -99,7 +99,9 @@ def test_truncated_matrix_offset_bookkeeping():
     prod = a.mul(a)
     assert prod.offset == 2
     assert prod.entries == ((2, 0), (0, 2))
-    assert a.scale_uniformizer(1).offset == 0
+    # offset -1 makes p^1 * IDENT = p: multiplying by it lowers the offset by one
+    scaled = a.mul(TruncatedMatrix(5, 6, -1, IDENT))
+    assert (scaled.offset, scaled.entries) == (0, a.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Oracles: direct enumeration of lattice-slice characters over Z/p^K and of
 truncated principal-unit groups.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,8 @@ from hypothesis import given, strategies as st
 from forge.depthcalc import (
     FilteredLattice,
     LevelMap,
+    TruncatedRing,
     character_image_order,
-    character_image_order_value,
     combine_product,
     factor_level_map,
     level_window,
@@ -110,7 +112,6 @@ def test_character_image_order_empty_slice():
     # r = 3/5: slice (3/10, 3/5] contains the jump 1/2; r = 2/5 does not
     assert character_image_order(F(3, 5), lat) == 1
     assert character_image_order(F(2, 5), lat) == 0
-    assert character_image_order_value(F(2, 5), lat, 7) == 1
 
 
 @given(st.integers(1, 3), st.integers(1, 40))
@@ -311,3 +312,74 @@ def test_torus_filtration_oracle_small_ramified():
     for u in elems[:40]:
         for v in elems[:40]:
             assert norm_class(mul(u, v)) == (norm_class(u) + norm_class(v)) % p
+
+
+# ---------------------------------------------------------------------------
+# the norm to the unramified part vs the Leibniz determinant
+# ---------------------------------------------------------------------------
+
+
+def _perm_sign(perm) -> int:
+    sign, seen = 1, [False] * len(perm)
+    for i in range(len(perm)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def leibniz_norm(ring: TruncatedRing, a):
+    """Oracle: det of multiplication by a over the coefficient ring, summed
+    over all e! permutations."""
+    R, e = ring.ring, ring.e
+    cols = [ring.mul(a, ring.uniformizer_power(t)) for t in range(e)]
+    total = R.zero()
+    for perm in itertools.permutations(range(e)):
+        term = cols[0][perm[0]]
+        for col in range(1, e):
+            term = R.mul(term, cols[col][perm[col]])
+        total = R.add(total, term) if _perm_sign(perm) > 0 else R.sub(total, term)
+    return total
+
+
+def _random_element(ring: TruncatedRing, rng: random.Random):
+    return tuple(
+        tuple(rng.randrange(ring.mod) for _ in range(ring.f)) for _ in range(ring.e)
+    )
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p, e", [(7, 2), (7, 3), (7, 4), (11, 6), (5, 1)])
+def test_norm_matches_leibniz_and_is_multiplicative(p, e, f):
+    ring = TruncatedRing(p, f, e, 3)
+    rng = random.Random(p * 100 + e * 10 + f)
+    for _ in range(4):
+        a, b = _random_element(ring, rng), _random_element(ring, rng)
+        na, nb = ring.norm_to_unramified(a), ring.norm_to_unramified(b)
+        assert na == leibniz_norm(ring, a)
+        assert ring.norm_to_unramified(ring.mul(a, b)) == ring.ring.mul(na, nb)
+    # an element c of the coefficient ring has norm c^e
+    c = ring.ring.reduce([2, 1][:f])
+    scalar = (c,) + (ring.ring.zero(),) * (e - 1)
+    assert ring.norm_to_unramified(scalar) == ring.ring.pow(c, e)
+
+
+@pytest.mark.parametrize("q, e, bound", [(49, 4, 16), (125, 3, 12)])
+def test_norm_coefficient_ring_product_budget(q, e, bound):
+    p = 7 if q == 49 else 5
+    ring = TruncatedRing(p, 1, e, 6)
+    calls = []
+    mul = ring.ring.mul
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    ring.ring.mul = counted
+    a = _random_element(ring, random.Random(e))
+    ring.norm_to_unramified(a)
+    assert len(calls) <= bound

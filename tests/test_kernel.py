@@ -146,6 +146,51 @@ def test_power_is_repeated_multiplication(shape, e, data):
     assert ring.pow(a, e) == want
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 31, 2**20])
+def test_power_makes_no_product_with_one(e):
+    # bit_length - 1 squarings and popcount - 1 products with a; never a * one
+    products = []
+
+    def mul(x, y):
+        products.append((x, y))
+        return x * y % 1_000_003
+
+    assert kernel.power(mul, 3, e, 1) == pow(3, e, 1_000_003)
+    want = e.bit_length() + bin(e).count("1") - 2 if e else 0
+    assert len(products) == want
+    assert all(1 not in pair for pair in products)
+
+
+@given(
+    st.sampled_from([(2, 3), (3, 2), (5, 2), (7, 1)]),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_solve_unit_pivot_many_right_hand_sides(pk, ncols, extra, nrhs, data):
+    # B = rows permuted of L * [I; Y] with L unit lower triangular: columns
+    # independent mod p, and L * e_last lies outside B's column space
+    p, k = pk
+    mod, n = p**k, ncols + extra
+    entry = st.integers(0, mod - 1)
+    lower = [[1 if i == j else data.draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    y = [[data.draw(entry) for _ in range(ncols)] for _ in range(extra)]
+    stacked = linalg.identity(ncols) + tuple(tuple(r) for r in y)
+    order = data.draw(st.permutations(range(n)))
+    full = linalg.mat_mul(lower, stacked)
+    b = linalg.mat_mod(tuple(full[i] for i in order), mod)
+    coeffs = [tuple(data.draw(entry) for _ in range(ncols)) for _ in range(nrhs)]
+    vs = [linalg.mat_vec(b, c) for c in coeffs]
+    sols = linalg.solve_unit_pivot(b, vs, p, k)
+    assert sols == coeffs
+    assert sols == [linalg.solve_unit_pivot(b, [v], p, k)[0] for v in vs]
+    if extra:
+        outside = tuple(lower[i][n - 1] for i in order)
+        spot = data.draw(st.integers(0, nrhs))
+        with pytest.raises(ValueError, match="inconsistent"):
+            linalg.solve_unit_pivot(b, vs[:spot] + [outside] + vs[spot:], p, k)
+
 @given(st.integers(1, 3000), st.data())
 def test_full_order_matches_per_prime_test_mod_p(i, data):
     # (Z/p)^x with the builtin pow, on any subset of the primes of p - 1
