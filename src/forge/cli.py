@@ -79,6 +79,11 @@ def cmd_build(args) -> int:
     datum = build_generic_element(
         rs_type, delta, args.p, args.q or args.p, args.n, ramified=args.ramified
     )
+    if args.ramified and datum.case not in ("Case1-ram", "E6-ram"):
+        raise ValueError(
+            f"--ramified has no ramified construction for {rs_type} with this form "
+            f"(it builds case {datum.case})"
+        )
     report = verify_datum(datum)
     _write(args.output, datum.to_json() + "\n")
     if args.report:
@@ -114,7 +119,6 @@ def cmd_sweep(args) -> int:
         explicit_primes=tuple(args.primes or ()),
         q_exponents=tuple(args.q_exponents),
         n_values=tuple(args.n_values),
-        twist_checks=not args.no_twist,
     )
     out = run_sweep(config)
     _write(args.output, report_to_json(out["report"]))
@@ -311,7 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--primes", type=int, nargs="*", default=None)
     s.add_argument("--q-exponents", type=int, nargs="*", default=[1])
     s.add_argument("--n-values", type=int, nargs="*", default=[1, 2])
-    s.add_argument("--no-twist", action="store_true")
     s.add_argument("--text", action="store_true")
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(func=cmd_sweep)

@@ -562,6 +562,8 @@ def verify_congruence_theorem(model: FiniteModel, N: int = 1) -> CongruenceRepor
     """Exact comparison of the trivial-coefficient space with the quotient
     coefficient space: dimensions, the canonical identification, and every
     generating double-coset operator."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got N = {N}")
     triv = build_space(model, TRIVIAL)
     quot = build_space(model, AM_QUOTIENT)
     details: dict = {"orbits": len(triv.orbit_reps), "N": N}

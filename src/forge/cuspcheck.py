@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import sympy
+
 from . import kernel
 from .cyclotomic import CycloInt
 from .linalg import mat_mod, mat_scale
@@ -221,8 +223,8 @@ def elliptic_seed(p: int, K: int) -> EllipticSeed:
     integral displacement keeps the reduced characteristic discriminant in
     the nonsquare class 4*eps, so no Borel subalgebra meets the coset.
     """
-    if p == 2:
-        raise ValueError("p must be odd")
+    if p == 2 or not sympy.isprime(p):
+        raise ValueError(f"p must be an odd prime, got p = {p}")
     if K < 3:
         raise ValueError("precision K >= 3 required")
     eps = smallest_nonsquare(p)

@@ -10,7 +10,6 @@ generators, special elements) reproducible.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
@@ -250,9 +249,6 @@ class FieldExtension:
             "modulus": enc_poly(self.modulus),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def element_to_json(self, a: tuple) -> list[int]:
         return [self.base.encode(c) for c in a]
 
@@ -266,13 +262,4 @@ class FieldExtension:
 def build_extension(p: int, f: int, n: int) -> FieldExtension:
     """Cached handle for F_{(p^f)^n} with deterministic modulus."""
     return FieldExtension(p, f, n)
-
-
-def extension_from_json(text: str) -> FieldExtension:
-    data = json.loads(text)
-    kernel.reject_float_and_bool(data)  # 1.0 would reach the cache key
-    ext = build_extension(data["p"], data["f"], data["n"])
-    if ext.to_json_dict()["modulus"] != data["modulus"]:
-        raise ValueError("modulus mismatch: non-canonical serialized extension")
-    return ext
 

@@ -10,7 +10,6 @@ checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -173,16 +172,6 @@ class RootSystem:
     def pairing(self, i: int, coroot: Coroot) -> int:
         """<alpha_i, coroot> for the 0-based simple root index i."""
         return sum(self.cartan[i][j] * coroot.expansion[j] for j in range(self.rank))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": str(self.type),
-            "simple_coroots": [list(c.expansion) for c in self.simple_coroots],
-            "coroots": [{"expansion": list(c.expansion)} for c in self.coroots],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @lru_cache(maxsize=None)
@@ -363,13 +352,3 @@ def minus_one_in_W_delta(rs: RootSystem, delta: DiagramAutomorphism) -> bool:
         return linalg.mat_scale(-1, w0.matrix) == delta.matrix()
     raise ValueError("criterion undecided for automorphisms of order > 2")
 
-
-def root_system_from_json(text: str) -> RootSystem:
-    data = json.loads(text)
-    rs = build_root_system(RootSystemType.parse(data["type"]))
-    expected = [list(c.expansion) for c in rs.coroots]
-    if sorted(data["coroots"], key=str) != sorted(
-        [{"expansion": e} for e in expected], key=str
-    ):
-        raise ValueError("serialized coroot set does not match the declared type")
-    return rs

@@ -226,9 +226,6 @@ class ZeroToralDatum:
         assert all(c.known for c in self.coords)
         return [c.residue for c in self.coords]
 
-    def with_coords(self, coords: Sequence[TameLeadingTerm]) -> "ZeroToralDatum":
-        return replace(self, coords=tuple(coords))
-
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
@@ -487,11 +484,6 @@ def build_e6_coordinates(variant: str, q: int) -> tuple[ExtensionSpec, list[tupl
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def e6_ramified_symbolic_coordinates() -> list[tuple[int, int]]:
-    """The ramified-cubic coordinates as integer pairs (c1, c2) = c1 + c2*zeta."""
-    return [(2, 0), (1, 0), (-4, -2), (1, 0), (1, 0), (0, 3)]
-
-
 def build_generic_element(
     rs_type: RootSystemType,
     delta: Optional[DiagramAutomorphism],
@@ -684,12 +676,26 @@ def assemble_one_toral(factors: Sequence[OneToralFactor]) -> OneToralDatum:
 
 def twist_datum(
     d: ZeroToralDatum | OneToralDatum, i: int, m: int, e_F: int = 1
-):
-    """Scale a datum by the character power i, 0 < i < p^m.
+) -> ZeroToralDatum | OneToralDatum:
+    """Scale a datum by the character power i = p^t * u, 0 < i < p^m.
 
-    Depths drop by the normalized valuation of i; leading residues scale by
-    the unit part of i.  The half-depth window inequality is asserted and
-    genericity is re-verified on the twist.
+    Depths drop by the normalized valuation v(i) = t * e_F; leading
+    residues scale by the unit u.  The half-depth window inequality
+    r0 - v(i) > r_d / 2 is checked, on the chain extremes for a
+    `OneToralDatum`.
+
+    The twist is generic whenever the datum is, so genericity is not
+    verified again.  Proof: the twist multiplies every coordinate residue
+    by u mod p, a unit of F_p, and keeps every valuation.
+    `verify_genericity` folds each coroot with `TameLeadingTerm.scale` and
+    `add` only.  `scale(lam)` multiplies a known residue by lam, which
+    commutes with multiplying by u; a lam divisible by p gives an Unknown
+    term of the coordinate's valuation, twisted or not.  `add` chooses its Unknown and lower-valuation branches from the
+    valuations and from which terms are known, and the twist changes
+    neither; on equal valuations it returns u*a + u*b = u*(a + b), which is
+    zero exactly when a + b is, u being a unit.  By induction along the
+    fold, each twisted coroot row is u times the untwisted row, with the
+    same ok flag.
     """
     if isinstance(d, OneToralDatum):
         # the window inequality couples the chain extremes, not the factors
@@ -703,19 +709,13 @@ def twist_datum(
         if not d.depths[0] - v0 > d.depths[-1] / 2:
             raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
         twisted = []
-        reports = []
         for _, facs in d.groups:
             for fac in facs:
                 if fac.datum is None:
                     raise ValueError("cannot twist a factor without coordinates")
-                td, rep = twist_datum(fac.datum, i, m, e_F)
+                td = twist_datum(fac.datum, i, m, e_F)
                 twisted.append(OneToralFactor(fac.label, td.depth, td))
-                reports.append(rep)
-        out = assemble_one_toral(twisted)
-        merged = reports[0]
-        for rep in reports[1:]:
-            merged = merged.merge(rep)
-        return out, merged
+        return assemble_one_toral(twisted)
 
     p = d.p
     if not 0 < i < p**m:
@@ -730,6 +730,4 @@ def twist_datum(
     new_coords = tuple(c.scale(unit, res) for c in d.coords)
     new_depth = d.depth - v
     new_n = new_depth.__ceil__() - 1
-    twisted = replace(d, coords=new_coords, depth=new_depth, n=new_n)
-    report = verify_genericity(twisted)
-    return twisted, report
+    return replace(d, coords=new_coords, depth=new_depth, n=new_n)

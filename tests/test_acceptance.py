@@ -54,6 +54,7 @@ from forge.toraldata import (
     build_generic_element,
     twist_datum,
     verify_datum,
+    verify_genericity,
 )
 
 
@@ -228,8 +229,8 @@ def test_criterion_08_twist_window(sweep_data):
                 i = p**texp * unit
                 if not 0 < i < p**m:
                     continue
-                twisted, rep = twist_datum(datum, i, m)
-                ok = ok and rep.genericity_ok
+                twisted = twist_datum(datum, i, m)
+                ok = ok and verify_genericity(twisted).genericity_ok
                 v = texp  # e_F = 1
                 ok = ok and twisted.depth == datum.depth - v
                 ok = ok and datum.depth - v > datum.depth / 2
@@ -304,7 +305,7 @@ def test_criterion_11_cusp_battery():
 
 
 def test_criterion_12_sweep_determinism():
-    config = SweepConfig(types=tuple(all_irreducible_types(8)), twist_checks=False)
+    config = SweepConfig(types=tuple(all_irreducible_types(8)))
     first = report_to_json(run_sweep(config)["report"])
     second = report_to_json(run_sweep(config)["report"])
     third = report_to_json(run_sweep(config)["report"])

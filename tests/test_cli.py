@@ -101,7 +101,7 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
 def test_sweep_deterministic_across_reruns(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    args = ["sweep", "--types", "B2,A2,G2", "--n-values", "1", "--no-twist"]
+    args = ["sweep", "--types", "B2,A2,G2", "--n-values", "1"]
     assert main(args + ["-o", str(out1)]) == 0
     assert main(args + ["-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -115,7 +115,7 @@ def test_sweep_error_row_names_the_exception(monkeypatch):
         raise AssertionError()
 
     monkeypatch.setattr(sweep, "build_generic_element", broken)
-    row = sweep.sweep_point(RootSystemType.parse("A2"), 5, 5, 1, False)
+    row = sweep.sweep_point(RootSystemType.parse("A2"), 5, 5, 1)
     assert row["case"] == "error" and not row["pass"]
     assert row["error"] == "AssertionError: "
 
@@ -134,6 +134,36 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{name} must be" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["cusp", "--p", "4"], "p must be"),
+        (["cusp", "--p", "9"], "p must be"),
+        (["cusp", "--p", "15"], "p must be"),
+        (["cusp", "--p", "-5"], "p must be"),
+        (["congruence", "--N", "0"], "N must be"),
+        (["congruence", "--N", "-1"], "N must be"),
+        (["sweep", "--types", "A2", "--primes", "4"], "p must be"),
+        (["sweep", "--types", "A2", "--n-values", "0"], "n values must be"),
+        (["sweep", "--types", "A2", "--q-exponents", "0"], "q exponents must be"),
+        (["build", "--type", "A2", "--p", "5", "--ramified"], "A2"),
+        (["build", "--type", "D5", "--p", "11", "--ramified"], "D5"),
+    ],
+    ids=[
+        "cusp-p4", "cusp-p9", "cusp-p15", "cusp-p-5", "congruence-N0", "congruence-N-1",
+        "sweep-prime-4", "sweep-n0", "sweep-q-exponent-0", "build-A2-ramified",
+        "build-D5-ramified",
+    ],
+)
+def test_invalid_parameters_exit_two(argv, name, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert name in err
+    assert not out.exists()
 
 
 def _set(path, value):

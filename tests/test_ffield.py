@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from forge.ffield import FieldExtension, build_extension, extension_from_json
+from forge.ffield import FieldExtension, build_extension
 
 
 def test_build_f25_frobenius_is_fifth_power():
@@ -225,17 +225,21 @@ def test_generator_search_exponent_budget():
 
 def test_extension_json_round_trip():
     ext = build_extension(5, 1, 3)
-    again = extension_from_json(ext.to_json())
-    assert again.to_json() == ext.to_json()
     a = ext.from_int(97)
     assert ext.element_from_json(ext.element_to_json(a)) == a
 
 
 @pytest.mark.parametrize("key, value", [("p", 7.0), ("f", 1.0), ("n", 2.0), ("f", True)])
 def test_extension_json_rejects_float_and_bool(key, value):
-    data = build_extension(7, 1, 2).to_json_dict()
+    # an extension is read from JSON only inside a datum
+    from forge.rootsys import RootSystemType
+    from forge.toraldata import build_generic_element, datum_from_json
+
+    data = json.loads(build_generic_element(RootSystemType.parse("A1"), None, 7).to_json())
+    datum_from_json(json.dumps(data))
+    data["ext"]["residue"][key] = value
     with pytest.raises(ValueError):
-        extension_from_json(json.dumps({**data, key: value}))
+        datum_from_json(json.dumps(data))
 
 
 def test_q_may_be_prime_power():

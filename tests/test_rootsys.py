@@ -25,7 +25,6 @@ from forge.rootsys import (
     is_elliptic,
     longest_element,
     minus_one_in_W_delta,
-    root_system_from_json,
     standard_involution,
     trivial_automorphism,
     weyl_apply,
@@ -453,10 +452,3 @@ def test_diagram_automorphism_validation_and_triality():
     e6 = build_root_system(RootSystemType.parse("E6"))
     with pytest.raises(ValueError):
         DiagramAutomorphism((2, 1, 3, 4, 5, 6)).validate(e6)
-
-
-def test_json_round_trip():
-    rs = build_root_system(RootSystemType.parse("E6"))
-    text = rs.to_json()
-    again = root_system_from_json(text)
-    assert again.to_json() == text

@@ -4,6 +4,7 @@ The ground truth throughout is brute-force residue evaluation over the
 full coroot set of each lattice.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from forge.rootsys import (
     build_root_system,
     standard_involution,
 )
+from forge.sweep import SweepConfig, all_irreducible_types
 from forge.toraldata import (
     OneToralFactor,
     TameLeadingTerm,
@@ -23,7 +25,6 @@ from forge.toraldata import (
     build_e6_coordinates,
     build_generic_element,
     datum_from_json,
-    e6_ramified_symbolic_coordinates,
     restriction_depth,
     twist_datum,
     verify_datum,
@@ -155,7 +156,7 @@ def test_a_type_descent_negative_control_fails_at_last_index():
     coords = [
         TameLeadingTerm(Fraction(0), res.frobenius(bad, i)) for i in range(2)
     ]
-    rep = verify_galois_descent(d.with_coords(coords))
+    rep = verify_galois_descent(replace(d, coords=tuple(coords)))
     assert not rep.descent_ok
     failing = [r.index for r in rep.descent_rows if not r.ok]
     assert failing == [2]  # the wrap-around equation detects the trace
@@ -238,6 +239,10 @@ def test_e6_unramified_sigma_system_q17():
     assert verify_datum(d).verdict
 
 
+# the ramified-cubic coordinates as integer pairs (c1, c2) = c1 + c2*zeta
+E6_RAM_SYMBOLIC = ((2, 0), (1, 0), (-4, -2), (1, 0), (1, 0), (0, 3))
+
+
 def test_e6_ramified_datum_p13():
     d = build_generic_element(T("E6"), None, 13, 13, 1, ramified=True)
     assert d.case == "E6-ram"
@@ -247,7 +252,7 @@ def test_e6_ramified_datum_p13():
     res = d.ext.residue
     zeta = d.ext.unif_ratio
     # literal coordinate values c1 + c2*zeta
-    for coord, (c1, c2) in zip(d.coords, e6_ramified_symbolic_coordinates()):
+    for coord, (c1, c2) in zip(d.coords, E6_RAM_SYMBOLIC):
         want = res.add(res.smul(c1, res.one()), res.smul(c2, zeta))
         assert coord.residue == want
     # descent literally checks zeta * a_i = sum of the action row
@@ -267,7 +272,7 @@ E6_RAM_VALUE_SET = (
 
 def test_e6_ramified_positive_values_and_cube_criterion():
     rs = build_root_system(T("E6"))
-    symbolic = e6_ramified_symbolic_coordinates()
+    symbolic = E6_RAM_SYMBOLIC
     values = []
     for coroot in rs.positive_coroots:
         c1 = sum(lam * a for lam, (a, _) in zip(coroot.expansion, symbolic))
@@ -321,7 +326,7 @@ def test_zero_coordinate_fails_genericity():
     res = d.ext.residue
     coords = list(d.coords)
     coords[0] = TameLeadingTerm(Fraction(0), None)
-    rep = verify_genericity(d.with_coords(coords))
+    rep = verify_genericity(replace(d, coords=tuple(coords)))
     assert not rep.genericity_ok
     assert rep.failing_coroots()
 
@@ -329,7 +334,7 @@ def test_zero_coordinate_fails_genericity():
 def test_all_zero_coordinates_fail_everywhere():
     d = build_generic_element(T("A2"), None, 5, 5, 1)
     coords = [TameLeadingTerm(Fraction(0), None)] * 2
-    rep = verify_genericity(d.with_coords(coords))
+    rep = verify_genericity(replace(d, coords=tuple(coords)))
     assert all(not r.ok for r in rep.coroot_rows)
 
 
@@ -397,19 +402,19 @@ def test_assemble_one_toral_window_violation():
 
 def test_twist_by_unit_keeps_depth_and_genericity():
     d = build_generic_element(T("B2"), None, 5, 5, 1)
-    td, rep = twist_datum(d, 3, 1)
+    td = twist_datum(d, 3, 1)
     assert td.depth == d.depth
-    assert rep.genericity_ok
+    assert verify_genericity(td).genericity_ok
     res = d.ext.residue
     assert td.coords[0].residue == res.smul(3, d.coords[0].residue)
 
 
 def test_twist_by_p_drops_depth():
     d = build_generic_element(T("B2"), None, 5, 5, 3)  # depth 4, window n=3
-    td, rep = twist_datum(d, 5, 2)
+    td = twist_datum(d, 5, 2)
     assert td.depth == d.depth - 1
     assert td.n == 2
-    assert rep.genericity_ok
+    assert verify_genericity(td).genericity_ok
     # inequality (n+1)/2 < r0 - v(i) holds: 2 < 3
     assert td.depth > d.depth / 2
 
@@ -451,6 +456,12 @@ def test_assemble_mixed_case_factors_end_to_end():
     assert merged.d == 1 and len(merged.groups[0][1]) == 2
 
 
+def chain_genericity_ok(one):
+    return all(
+        verify_genericity(fac.datum).genericity_ok for _, facs in one.groups for fac in facs
+    )
+
+
 def test_twist_one_toral():
     d1 = build_generic_element(T("B2"), None, 11, 11, 3)
     d2 = build_generic_element(T("A2"), None, 11, 11, 3)
@@ -460,8 +471,8 @@ def test_twist_one_toral():
             OneToralFactor("f2", d2.depth, d2),
         ]
     )
-    twisted, rep = twist_datum(one, 11, 2)
-    assert rep.genericity_ok
+    twisted = twist_datum(one, 11, 2)
+    assert chain_genericity_ok(twisted)
     assert all(depth == Fraction(3) for depth in twisted.depths)
 
 
@@ -472,8 +483,7 @@ def test_twist_one_toral_chain_inequality_uses_extremes():
     b2 = build_generic_element(T("B2"), None, 13, 13, 4, ramified=True)
     a2 = build_generic_element(T("A2"), None, 13, 13, 4)
     for factor in (b2, a2):
-        _, rep = twist_datum(factor, 13**2, 3)
-        assert rep.genericity_ok
+        assert verify_genericity(twist_datum(factor, 13**2, 3)).genericity_ok
     one = assemble_one_toral(
         [
             OneToralFactor("f1", b2.depth, b2),
@@ -482,8 +492,8 @@ def test_twist_one_toral_chain_inequality_uses_extremes():
     )
     with pytest.raises(ValueError):
         twist_datum(one, 13**2, 3)
-    twisted, rep = twist_datum(one, 13, 3)  # v = 1 stays inside the bound
-    assert rep.genericity_ok
+    twisted = twist_datum(one, 13, 3)  # v = 1 stays inside the bound
+    assert chain_genericity_ok(twisted)
     assert twisted.depths == (Fraction(7, 2), Fraction(4))
 
 
@@ -492,50 +502,47 @@ def test_twist_one_toral_chain_inequality_uses_extremes():
 # ---------------------------------------------------------------------------
 
 
-def sweep_types():
-    return (
-        [RootSystemType("A", s) for s in range(1, 9)]
-        + [RootSystemType("B", s) for s in range(2, 9)]
-        + [RootSystemType("C", s) for s in range(3, 9)]
-        + [RootSystemType("D", s) for s in range(4, 9)]
-        + [RootSystemType("E", s) for s in (6, 7, 8)]
-        + [RootSystemType("F", 4), RootSystemType("G", 2)]
-    )
-
-
-def two_smallest_primes_above(b):
-    import sympy
-
-    p1 = sympy.nextprime(b)
-    return p1, sympy.nextprime(p1)
-
-
-# sha256 over the JSON of every datum and twist built below: it pins the
+# sha256 over the JSON of every datum and twist hashed below: it pins the
 # residue moduli, generator-power and trace-zero coordinates byte for byte
 SWEEP_GOLDEN_SHA256 = "f796d85c66865e26e40f7d2dace98bae9d47cb896a4b39cff4700ce7b2762f69"
 
 
 def test_full_sweep_q_p_and_p_squared():
+    """Every point of the `forge sweep --q-exponents 1 2` grid verifies, and
+    every twist the sweep makes recomputes to u times the untwisted coroot
+    rows with the same ok flags: the identity `twist_datum` relies on."""
     import hashlib
 
-    from forge.rootsys import coxeter_number
-
+    config = SweepConfig(types=tuple(all_irreducible_types(8)), q_exponents=(1, 2))
     digest = hashlib.sha256()
-    for t in sweep_types():
-        for p in two_smallest_primes_above(coxeter_number(t)):
-            for fexp in (1, 2):
-                q = p**fexp
-                for n in (1, 2):
-                    if fexp == 2 and n == 2:
-                        continue  # residue arithmetic is n-independent
-                    d = build_generic_element(t, None, p, q, n)
-                    rep = verify_datum(d)
-                    assert rep.verdict, (str(t), p, q, n)
-                    # unit twist stability
-                    td, trep = twist_datum(d, max(2, p - 1), 1)
-                    assert trep.genericity_ok
-                    digest.update(d.to_json().encode())
-                    digest.update(td.to_json().encode())
+    twists = 0
+    for t, p, q, n in config.grid()[0]:
+        d = build_generic_element(t, None, p, q, n)
+        rep = verify_datum(d)
+        assert rep.verdict, (str(t), p, q, n)
+        res = d.ext.residue
+        m = n // 2 + 1  # the sweep's twists: i = p^texp * u below p^m
+        for texp in range(m):
+            for u in (1, p - 1):
+                if p**texp * u >= p**m:
+                    continue
+                trep = verify_genericity(twist_datum(d, p**texp * u, m))
+                want = [
+                    (
+                        r.expansion,
+                        None if r.residue is None
+                        else res.element_to_json(res.smul(u, res.element_from_json(r.residue))),
+                        r.ok,
+                    )
+                    for r in rep.coroot_rows
+                ]
+                got = [(r.expansion, r.residue, r.ok) for r in trep.coroot_rows]
+                assert got == want, (str(t), p, q, n, p**texp * u)
+                twists += 1
+        if q == p or n == 1:  # residue arithmetic is n-independent
+            digest.update(d.to_json().encode())
+            digest.update(twist_datum(d, p - 1, 1).to_json().encode())
+    assert twists == 744
     assert digest.hexdigest() == SWEEP_GOLDEN_SHA256
 
 
@@ -545,5 +552,5 @@ def test_sweep_negative_controls_single_zero_coordinate():
         for k in range(d.rs.rank):
             coords = list(d.coords)
             coords[k] = TameLeadingTerm(Fraction(0), None)
-            rep = verify_genericity(d.with_coords(coords))
+            rep = verify_genericity(replace(d, coords=tuple(coords)))
             assert not rep.genericity_ok
