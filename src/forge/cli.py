@@ -134,7 +134,7 @@ def cmd_congruence(args) -> int:
     if args.model_config:
         with open(args.model_config) as fh:
             model = FiniteModel.from_config(json.load(fh))
-        rep = verify_congruence_theorem(model, N=args.N[0] if args.N else 1)
+        rep = verify_congruence_theorem(model, N=args.N[0])
         q_ok, _ = quotient_map_check(model)
         ok = rep.passed and q_ok
         results["models"].append(model.to_config())
@@ -245,6 +245,8 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_depth(args) -> int:
+    if args.max_m < 1:
+        raise ValueError(f"max-m must be at least 1, got max-m = {args.max_m}")
     rows = []
     ok = True
     for e_F in args.e_F:
@@ -322,8 +324,8 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("congruence", help="run the finite-model battery")
     c.add_argument("--model-config", default=None, help="JSON model file to check")
     c.add_argument("--p", type=int, default=3)
-    c.add_argument("--m", type=int, nargs="*", default=[1, 2])
-    c.add_argument("--N", type=int, nargs="*", default=[1, 2])
+    c.add_argument("--m", type=int, nargs="+", default=[1, 2])
+    c.add_argument("--N", type=int, nargs="+", default=[1, 2])
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=cmd_congruence)
 
@@ -338,7 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
     u.set_defaults(func=cmd_cusp)
 
     d = sub.add_parser("depth", help="window/order table and level maps")
-    d.add_argument("--e-F", dest="e_F", type=int, nargs="*", default=[1, 2, 3])
+    d.add_argument("--e-F", dest="e_F", type=int, nargs="+", default=[1, 2, 3])
     d.add_argument("--max-m", type=int, default=4)
     d.add_argument("--level-p", type=int, default=3)
     d.add_argument("--level-m", type=int, default=2)

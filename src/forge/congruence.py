@@ -398,10 +398,10 @@ class EquivariantSpace:
     basis block per orbit.
     """
 
-    def __init__(self, model: FiniteModel, kind: str, K: Optional[int] = None):
+    def __init__(self, model: FiniteModel, kind: str):
         self.model = model
         self.kind = kind
-        self.ring = AmRing(model.p, model.m, K)
+        self.ring = AmRing(model.p, model.m)
         reps, orbit_index, lam_to, stab_exp = model.orbit_data
         self.orbit_reps = reps
         self.orbit_index = orbit_index
@@ -437,10 +437,10 @@ class EquivariantSpace:
         return sum(self.model.p**t - 1 for t in self.stab_exponents)
 
 
-def build_space(model: FiniteModel, coeff: str, K: Optional[int] = None) -> EquivariantSpace:
+def build_space(model: FiniteModel, coeff: str) -> EquivariantSpace:
     if coeff not in (TRIVIAL, AM_PSI, AM_QUOTIENT):
         raise ValueError(f"unknown coefficient kind {coeff!r}")
-    return EquivariantSpace(model, coeff, K)
+    return EquivariantSpace(model, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -623,43 +623,35 @@ def quotient_map_check(model: FiniteModel) -> tuple[bool, dict]:
     models.
 
     On an orbit with stabilizer exponent t the functions form the
-    T^(p^t)-fixed module Fix, free on the basis b_i = cofactor * T^i.  The
-    image at T = 1 is generated by the classes of the b_i, so it has order
-    p^m / gcd(p^m, classes); Fix/(T-1)Fix has order p^v(d), d the
-    determinant of T - 1 on Fix in that basis.  The two must agree.  Its
-    columns are the coordinates of the (T-1)b_i, and since the coordinate
-    matrix of the basis is the same for all of them, one elimination
-    solves the whole shifted basis.  The cofactor is prod_(j > t)
-    Phi_(p^j), whose class is p^(m-t): a unit exactly when t = m, which a
-    free action gives on every orbit (see FiniteModel.orbit_data).
+    T^(p^t)-fixed module Fix, free on b_i = c * T^i (i < p^t - 1), c the
+    cofactor prod_(j > t) Phi_(p^j).  The image at T = 1 is generated by
+    the classes of the b_i, all equal to c(1) = p^(m-t), so it has order
+    p^t; the image is everything exactly when t = m, which a free action
+    gives on every orbit (see FiniteModel.orbit_data).
+
+    The quotient size is p^t by an identity.  Let g = prod_(1<=j<=t)
+    Phi_(p^j), monic of degree p^t - 1, so g * c is the ring's modulus.
+    Then h -> c * h is an isomorphism Z/p^K[T]/(g) -> Fix sending T^i to
+    b_i: it is injective because c * h, of degree below that of the monic
+    g * c, is zero only if h is, and its image is Fix.  T acts on
+    Z/p^K[T]/(g) as the companion matrix C_g, so det(T - 1) =
+    det(C_g - 1) = +-g(1) = +-p^t, and directly
+    Fix/(T-1)Fix = Z/p^K[T]/(g, T - 1) = Z/(p^K, g(1)) = Z/(p^t) for every
+    K >= m >= t.  The image size, read off the basis classes, must agree
+    with it: that checks fixed_module_basis and cyclotomic_cofactor against
+    the stabilizer exponent the orbit walk found.
     """
-    space = build_space(model, AM_PSI, K=model.m + 1)
+    space = build_space(model, AM_PSI)
     ring = space.ring
     p, m = model.p, model.m
     rows = []
     overall = True
     for j, t in enumerate(space.stab_exponents):
-        basis = space.orbit_bases[j]
-        classes = [ring.mod_T_minus_1(b) for b in basis]
+        classes = [ring.mod_T_minus_1(b) for b in space.orbit_bases[j]]
         g = math.gcd(p**m, *classes)
-        image_size = p**m // g if g else 1
+        image_size = p**m // g
         surj = g == 1
-        # size of the (T-1)-quotient of the orbit module, via the exact
-        # index of (T-1)*Fix inside Fix
-        if basis:
-            coord = linalg.mat_freeze(
-                [[b[c] for b in basis] for c in range(ring.deg)]
-            )
-            shifted = [ring.sub(ring.mul(ring.psi(1), b), b) for b in basis]
-            cols = linalg.solve_unit_pivot(coord, shifted, ring.p, ring.K)
-            # every lift of the matrix over Z/p^K has the same det mod p^K;
-            # the centered one keeps Bareiss's integers small
-            half = ring.mod // 2
-            mat = tuple(zip(*([c - ring.mod if c > half else c for c in col] for col in cols)))
-            d = linalg.det(mat) % ring.mod
-            quot_size = p ** kernel.vp(d, p) if d else 1
-        else:
-            quot_size = 1
+        quot_size = p**t
         rows.append(
             {
                 "orbit": j,

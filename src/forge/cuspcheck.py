@@ -324,6 +324,8 @@ def lambda_character(
     on `pairs` seeded random pairs; surjectivity by exhibiting a unit value
     on a generator.
     """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got m = {m}")
     K = seed.K if K is None else K
     char = LambdaChar(seed, n, m, K)
     p = seed.p
@@ -361,6 +363,8 @@ def _unipotent(parabolic: str, t: int) -> Mat:
 def default_samples(char: LambdaChar, count: int) -> list[tuple[str, Mat]]:
     """Deterministic integral sample points, mixing the domain group, its
     unipotent saturation, and points with empty support."""
+    if count < 1:
+        raise ValueError(f"samples must be at least 1, got samples = {count}")
     p, K = char.seed.p, char.K
     mod = p**K
     rng = random.Random(52_000 + p + char.n * 11 + char.m)
@@ -460,19 +464,20 @@ def cusp_integral_check(
         for value, count in enumerate(prof["histogram"]):
             if count:
                 total.add_root(x * value, count)
-        zero = total.is_zero()
+        canon = total.canonical()
         support = prof["support_points_mod_period"]
+        zero = not any(canon) or not support
         rows.append(
             {
                 "parabolic": prof["parabolic"],
                 "sample": prof["sample"],
                 "support_points_mod_period": support,
-                "sum_canonical": list(total.canonical()),
-                "zero": bool(zero) if support else True,
+                "sum_canonical": list(canon),
+                "zero": zero,
             }
         )
-        all_zero = all_zero and (zero or support == 0)
-    return {"x": x, "period": period, "rows": rows, "passed": bool(all_zero)}
+        all_zero = all_zero and zero
+    return {"x": x, "period": period, "rows": rows, "passed": all_zero}
 
 
 # ---------------------------------------------------------------------------

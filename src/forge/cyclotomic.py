@@ -49,13 +49,6 @@ class CycloInt:
         """Accumulate mult * zeta^exponent."""
         self.counts[exponent % (self.p**self.k)] += mult
 
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        assert (self.p, self.k) == (other.p, other.k)
-        return CycloInt(self.p, self.k, [a + b for a, b in zip(self.counts, other.counts)])
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.p, self.k, [-a for a in self.counts])
-
     def canonical(self) -> tuple[int, ...]:
         """Reduce onto the basis {zeta^e : 0 <= e < phi(p^k)}."""
         p, k = self.p, self.k
@@ -70,14 +63,6 @@ class CycloInt:
                 for i in range(p - 1):
                     c[j + i * step] -= m
         return tuple(c[: step * (p - 1)])
-
-    def is_zero(self) -> bool:
-        return not any(self.canonical())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloInt):
-            return NotImplemented
-        return (self.p, self.k) == (other.p, other.k) and self.canonical() == other.canonical()
 
     def __repr__(self) -> str:
         return f"CycloInt(p={self.p}, k={self.k}, canonical={self.canonical()})"

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import sympy
+
 from . import kernel
 from .ffield import build_extension
 
@@ -165,6 +167,8 @@ def factor_level_map(
     pairing, normalized into Z/p^m.  Requires the character image order to
     be exactly p^m.
     """
+    if not sympy.isprime(p):
+        raise ValueError(f"p must be prime, got p = {p}")
     if lat.e_F != 1:
         raise ValueError("level-map extraction is modeled for e_F = 1")
     if len(coords) != lat.rank:
@@ -343,6 +347,14 @@ def torus_power_filtration(q: int, e: int, m: int, K: int) -> LevelMap:
     checks that p-th powers of the level-j generators land one filtration
     step up, and extracts a surjection U_m/U_2m onto Z/p^m through the norm
     to the unramified part followed by coefficient extraction.
+
+    Each generator's norm is taken once.  The norm is multiplicative,
+    N(ab) = N(a) N(b), being the determinant of multiplication by ab, which
+    is the product of the multiplications by a and by b (Serre, Local
+    Fields, ch. V).  So the class of a product of two generators is the
+    extraction applied to the coefficient-ring product of their norms, and
+    the pair check tests that the extraction is additive on those norms,
+    which is the containment the level-map formula needs.
     """
     p, f = kernel.prime_power(q)
     if p == 2 and (e != 1 or f != 1):
@@ -368,20 +380,19 @@ def torus_power_filtration(q: int, e: int, m: int, K: int) -> LevelMap:
 
     # generators of U_m / U_2m and their images
     base_exp = m if p != 2 else (1 if m == 1 else m + 1)
-    gens, images, orders, elements = [], [], [], []
+    gens, images, orders, norms = [], [], [], []
     for j in range(j_m, j_top):
         for (tag, b) in ring.basis():
             u = ring.add(ring.one(), ring.mul(ring.uniformizer_power(j), b))
             gens.append(f"1+pi^{j}*y^{tag[0]}x^{tag[1]}")
-            images.append(_unit_level_class(ring, u, base_exp, m))
+            norms.append(ring.norm_to_unramified(u))
+            images.append(_unit_level_class(ring, norms[-1], base_exp, m))
             orders.append(p ** (2 * m - _level_index(p, e, j)))
-            elements.append(u)
 
-    # homomorphism spot-check on all generator pairs (norm is multiplicative,
-    # so this certifies the containment the formula needs)
-    for i1 in range(len(elements)):
-        for i2 in range(i1, len(elements)):
-            prod = ring.mul(elements[i1], elements[i2])
+    # additivity on all generator pairs, through N(ab) = N(a) N(b)
+    for i1 in range(len(norms)):
+        for i2 in range(i1, len(norms)):
+            prod = ring.ring.mul(norms[i1], norms[i2])
             lhs = _unit_level_class(ring, prod, base_exp, m)
             if lhs != (images[i1] + images[i2]) % p**m:
                 raise AssertionError("level map is not additive on generators")
@@ -418,9 +429,9 @@ def _divisible_by_level(ring: TruncatedRing, a, j: int) -> bool:
     return True
 
 
-def _unit_level_class(ring: TruncatedRing, u, level_exp: int, m: int) -> int:
-    """Class of a principal unit in Z/p^m: first coefficient of (N(u)-1)/p^level."""
-    w = ring.norm_to_unramified(u)
+def _unit_level_class(ring: TruncatedRing, w, level_exp: int, m: int) -> int:
+    """Class in Z/p^m of a principal unit with norm w: first coefficient of
+    (w-1)/p^level."""
     w0 = (w[0] - 1) % ring.mod
     rest = [c % ring.mod for c in w[1:]]
     scale = ring.p**level_exp

@@ -90,6 +90,13 @@ def test_unknown_flag_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_empty_list_flags_exit_two(capsys):
+    assert main(["depth", "--e-F"]) == 2
+    assert main(["congruence", "--m"]) == 2
+    assert main(["congruence", "--N"]) == 2
+    assert capsys.readouterr().err.count("expected at least one argument") == 3
+
+
 def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert main(["build", "--type", "Q9", "--p", "5"]) == 2
     assert main(["build", "--type", "B2", "--p", "3"]) == 2  # p <= Cox
@@ -150,11 +157,18 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
         (["sweep", "--types", "A2", "--q-exponents", "0"], "q exponents must be"),
         (["build", "--type", "A2", "--p", "5", "--ramified"], "A2"),
         (["build", "--type", "D5", "--p", "11", "--ramified"], "D5"),
+        (["cusp", "--m", "0"], "m must be"),
+        (["cusp", "--samples", "0"], "samples must be"),
+        (["cusp", "--samples", "-3"], "samples must be"),
+        (["depth", "--max-m", "0"], "max-m must be"),
+        (["depth", "--level-p", "9"], "p must be"),
+        (["depth", "--level-p", "25"], "p must be"),
     ],
     ids=[
         "cusp-p4", "cusp-p9", "cusp-p15", "cusp-p-5", "congruence-N0", "congruence-N-1",
         "sweep-prime-4", "sweep-n0", "sweep-q-exponent-0", "build-A2-ramified",
-        "build-D5-ramified",
+        "build-D5-ramified", "cusp-m0", "cusp-samples0", "cusp-samples-3", "depth-max-m0",
+        "depth-level-p9", "depth-level-p25",
     ],
 )
 def test_invalid_parameters_exit_two(argv, name, tmp_path, capsys):
@@ -217,6 +231,28 @@ def test_congruence_battery_cli(tmp_path):
     assert main(["congruence", "--p", "3", "--m", "1", "--N", "1", "-o", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["passed"]
+
+
+# sha256 of the battery reports: they pin the quotient sizes, the level-map
+# images and every canonical cusp sum byte for byte
+BATTERY_REPORT_SHA256 = {
+    ("congruence",): "7ea02d3d57aa707453036f5fd5d23207a3f5fb4ac962ec12fd07ae3b80da1366",
+    ("congruence", "--p", "5", "--m", "1", "2", "3"): (
+        "a978ab951c66dce04573797c525a80889cf4c99b8b2df871724f4c10e6394eb1"
+    ),
+    ("depth",): "d45cd69e89a59eed1deecf223dd0fba81893f6ba70096f380fb79a9ea3b1b093",
+    ("cusp",): "a5cfc8f90efbcc03c2fae338ca0131b7bb47e1c390925d38b3ef341d3afaea19",
+}
+
+
+@pytest.mark.parametrize("argv", list(BATTERY_REPORT_SHA256), ids=" ".join)
+def test_battery_report_bytes(argv, tmp_path, capsys):
+    import hashlib
+
+    out = tmp_path / "report.json"
+    assert main([*argv, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BATTERY_REPORT_SHA256[argv]
 
 
 def test_cusp_cli_small(tmp_path):

@@ -4,6 +4,7 @@ Oracles: polynomial reduction by hand for the ring, orbit/coset counting by
 enumeration for the spaces and operators.
 """
 
+import functools
 import math
 
 import pytest
@@ -432,6 +433,67 @@ def test_quotient_map_check_free_vs_nonfree():
     assert all(row["image_size"] == 3 for row in details["orbits"])
     ok, _ = quotient_map_check(builtin_zero_lambda_model(3, 2))
     assert ok  # zero character: quotient map bijective regardless of freeness
+
+
+@functools.lru_cache(maxsize=None)
+def bareiss_quotient_size(p: int, m: int, t: int) -> int:
+    """Reference: |Fix/(T-1)Fix| from the determinant of T - 1 on the
+    fixed-module basis at K = m + 1.  The coordinate matrix of the basis
+    solves the shifted basis in one elimination; the centered lift of the
+    result is C_g - 1, g = 1 + T + ... + T^(p^t - 1), whose integer
+    determinant fraction-free Bareiss computes.  It depends on (p, m, t)
+    only."""
+    ring = AmRing(p, m, m + 1)
+    basis = ring.fixed_module_basis(t)
+    if not basis:
+        return 1
+    coord = linalg.mat_freeze([[b[c] for b in basis] for c in range(ring.deg)])
+    shifted = [ring.sub(ring.mul(ring.psi(1), b), b) for b in basis]
+    cols = linalg.solve_unit_pivot(coord, shifted, ring.p, ring.K)
+    half = ring.mod // 2
+    mat = tuple(zip(*([c - ring.mod if c > half else c for c in col] for col in cols)))
+    n = len(basis)
+    companion_minus_one = tuple(
+        tuple(-1 - (i == c) if c == n - 1 else (i == c + 1) - (i == c) for c in range(n))
+        for i in range(n)
+    )
+    assert mat == companion_minus_one
+    det = linalg.det(mat)
+    assert abs(det) == p**t  # +-g(1), exactly: p^t up to the unit -1
+    return p ** kernel.vp(det % ring.mod, p)
+
+
+def test_quotient_size_identity_matches_bareiss():
+    models = [
+        build(p, m)
+        for p in (3, 5)
+        for m in (1, 2, 3)
+        for build in (builtin_free_model, builtin_cyclic_model, builtin_zero_lambda_model)
+    ]
+    models += [builtin_nonfree_model(p, m) for p in (3, 5) for m in (1, 2)]
+    models += delta_models()
+    seen = set()
+    for model in models:
+        _, details = quotient_map_check(model)
+        for row, t in zip(details["orbits"], model.orbit_data[3]):
+            assert row["stab_exponent"] == t
+            assert row["quotient_size"] == bareiss_quotient_size(model.p, model.m, t)
+            assert row["image_size"] == row["quotient_size"], model.name
+            seen.add((model.p, model.m, t))
+    # killed (t = 0), partial (0 < t < m) and free (t = m) orbits all occur
+    assert {(3, 1, 0), (5, 1, 0), (3, 2, 1), (5, 2, 1), (2, 3, 2), (5, 3, 3)} <= seen
+
+
+def test_quotient_map_check_asserts_the_basis_against_the_exponent(monkeypatch):
+    # p * cofactor is still T^(p^t)-fixed, but its class is p^(m-t+1): the
+    # image shrinks below the p^t the identity gives, and the check says so
+    cofactor = AmRing.cyclotomic_cofactor
+    monkeypatch.setattr(
+        AmRing, "cyclotomic_cofactor", lambda ring, t: ring.smul(ring.p, cofactor(ring, t))
+    )
+    for model in (builtin_free_model(3, 1), builtin_nonfree_model(3, 2), delta_models()[-1]):
+        with pytest.raises(AssertionError, match="image and quotient sizes disagree"):
+            quotient_map_check(model)
 
 
 def test_killed_orbit_contributes_zero_submodule():

@@ -42,23 +42,23 @@ def test_cyclo_full_orbit_sums_vanish():
         total = CycloInt(p, k)
         for j in range(p**k):
             total.add_root(j)
-        assert total.is_zero()
+        assert not any(total.canonical())
         sub = CycloInt(p, k)
         for j in range(p ** (k - 1)):
             for i in range(p):
                 sub.add_root(j + i * p ** (k - 1))
-        assert sub.is_zero()
+        assert not any(sub.canonical())
 
 
 def test_cyclo_nonzero_detected():
     x = CycloInt(5, 2)
     x.add_root(3)
     x.add_root(17, 2)
-    assert not x.is_zero()
+    assert any(x.canonical())
     y = CycloInt(5, 2)
     y.add_root(3)
     y.add_root(17, 2)
-    assert x == y
+    assert x.canonical() == y.canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,10 @@ def test_lambda_threshold_and_precision_guards():
         lambda_character(seed, 3, 2)  # n < m + 2
     with pytest.raises(ValueError):
         lambda_character(seed, 4, 2, K=7)  # K < n + m + 2
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        lambda_character(seed, 4, 0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        default_samples(lambda_character(seed, 4, 2), 0)
 
 
 def test_lambda_value_outside_domain_rejected():
@@ -280,12 +284,30 @@ def test_cusp_sum_identity_sample_full_enumeration_oracle():
             support += 1
             total.add_root(char.value(gu))
     assert support == p**m  # one coset of depth n inside the period
-    assert total.is_zero()
+    assert not any(total.canonical())
     out = cusp_integral_check(char, 1, samples=[("identity", IDENT)])
     assert out["passed"]
     row = [r for r in out["rows"] if r["parabolic"] == "upper"][0]
     assert row["support_points_mod_period"] == support
     assert row["zero"]
+
+
+def test_cusp_rows_report_their_own_sums():
+    # hand-made histograms whose sums differ row by row, most of them
+    # nonzero: each row carries the canonical form of its own sum
+    char = lambda_character(elliptic_seed(5, 8), 3, 1)
+    histograms = [[1, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 0, 2, 0, 0], [0, 0, 0, 0, 1]]
+    profiles = [
+        {"parabolic": "upper", "sample": f"s{i}", "support_points_mod_period": sum(h), "histogram": h}
+        for i, h in enumerate(histograms)
+    ]
+    out = cusp_integral_check(char, 2, profiles=profiles)
+    # x = 2 sends value v to zeta^(2v); zeta^8 = zeta^3 and zeta^4 = -(1 + zeta + zeta^2 + zeta^3)
+    assert [row["sum_canonical"] for row in out["rows"]] == [
+        [1, 0, 0, 0], [0, 0, 0, 0], [-2, -2, -2, -2], [0, 0, 0, 1]
+    ]
+    assert [row["zero"] for row in out["rows"]] == [False, True, False, False]
+    assert not out["passed"]
 
 
 def test_support_profiles_match_the_full_period_scan():

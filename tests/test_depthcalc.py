@@ -11,13 +11,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from forge import kernel
 from forge.depthcalc import (
     FilteredLattice,
     LevelMap,
     TruncatedRing,
+    _unit_level_class,
     character_image_order,
     combine_product,
     factor_level_map,
+    filtration_level_exponent,
     level_window,
     torus_power_filtration,
     unramified_torus_lattice,
@@ -160,6 +163,13 @@ def test_factor_level_map_zero_functional_errors():
         factor_level_map(4, lat, 2, [3, 9], 3)  # no unit coordinate
     with pytest.raises(ValueError):
         factor_level_map(2, lat, 2, [1, 1], 3)  # r=2 carries order p, not p^2
+
+
+def test_factor_level_map_rejects_non_prime_p():
+    lat = unramified_torus_lattice(2, 1)
+    for p in (9, 25, 1):  # Z/9^2 is no level target
+        with pytest.raises(ValueError, match="p must be prime"):
+            factor_level_map(4, lat, 2, [1, 1], p)
 
 
 def test_factor_level_map_round_trip_character_order():
@@ -312,6 +322,36 @@ def test_torus_filtration_oracle_small_ramified():
     for u in elems[:40]:
         for v in elems[:40]:
             assert norm_class(mul(u, v)) == (norm_class(u) + norm_class(v)) % p
+
+
+@pytest.mark.parametrize(
+    "q, e, m, K",
+    [(3, 1, 2, 4), (49, 4, 3, 6), (125, 3, 3, 6), (2, 1, 1, 4), (5, 2, 1, 3), (7, 3, 1, 3)],
+)
+def test_filtration_pairs_match_fresh_norms(q, e, m, K):
+    """Reference for the pair check: each product of two generators is
+    formed in the ring and its norm taken afresh, not read off N(a) N(b)."""
+    lm = torus_power_filtration(q, e, m, K)
+    p, f = kernel.prime_power(q)
+    ring = TruncatedRing(p, f, e, K)
+    base_exp = m if p != 2 else (1 if m == 1 else m + 1)
+    levels = range(
+        filtration_level_exponent(p, e, m), min(filtration_level_exponent(p, e, 2 * m), e * K)
+    )
+    units = [
+        ring.add(ring.one(), ring.mul(ring.uniformizer_power(j), b))
+        for j in levels
+        for (_, b) in ring.basis()
+    ]
+
+    def level_class(u):
+        return _unit_level_class(ring, ring.norm_to_unramified(u), base_exp, m)
+
+    assert [level_class(u) for u in units] == list(lm.images)
+    for i1, a in enumerate(units):
+        for i2 in range(i1, len(units)):
+            prod = ring.mul(a, units[i2])
+            assert level_class(prod) == (lm.images[i1] + lm.images[i2]) % p**m
 
 
 # ---------------------------------------------------------------------------
