@@ -245,8 +245,9 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    if args.max_m < 1:
-        raise ValueError(f"max-m must be at least 1, got max-m = {args.max_m}")
+    for flag, value in (("max-m", args.max_m), ("level-m", args.level_m)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {flag} = {value}")
     rows = []
     ok = True
     for e_F in args.e_F:

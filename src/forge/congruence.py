@@ -413,9 +413,8 @@ class EquivariantSpace:
                 if self.ring.mod_T_minus_1(self.ring.psi(model.lam[gp])) != 1:
                     raise AssertionError("induced quotient action is not trivial")
         if kind == AM_PSI:
-            self.orbit_bases = [
-                self.ring.fixed_module_basis(t) for t in stab_exp
-            ]
+            bases = {t: self.ring.fixed_module_basis(t) for t in set(stab_exp)}
+            self.orbit_bases = [bases[t] for t in stab_exp]
             self.basis_index = [
                 (j, i)
                 for j in range(len(reps))

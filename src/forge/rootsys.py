@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .cyclotomic import cyclotomic_poly
@@ -182,13 +182,9 @@ def build_root_system(rs_type: RootSystemType) -> RootSystem:
 @dataclass(frozen=True)
 class WeylElement:
     matrix: Matrix
-    word: Optional[tuple[int, ...]] = None
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(linalg.mat_mul(self.matrix, other.matrix), word)
+        return WeylElement(linalg.mat_mul(self.matrix, other.matrix))
 
     def power(self, e: int) -> "WeylElement":
         return WeylElement(linalg.mat_pow(self.matrix, e))
@@ -199,7 +195,7 @@ class WeylElement:
 
 
 def weyl_identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(linalg.identity(rs.rank), ())
+    return WeylElement(linalg.identity(rs.rank))
 
 
 def weyl_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
@@ -210,7 +206,7 @@ def weyl_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     m = linalg.identity(rs.rank)
     for i in word:
         m = linalg.mat_mul(m, rs.reflections[i - 1])
-    return WeylElement(m, tuple(word))
+    return WeylElement(m)
 
 
 def weyl_apply(w: WeylElement, coroot: Coroot) -> Coroot:

@@ -7,9 +7,11 @@ coefficient per simple coroot.  Verification is exhaustive: the descent
 equations are checked on every simple coroot and genericity on every
 coroot, in the residue field, exactly.
 
-Leading coefficients are `TameLeadingTerm`s: (valuation, residue) pairs
-whose sums turn Unknown when equal-valuation residues cancel; genericity
-treats Unknown as failure because it demands the exact valuation.
+Each coordinate a_i is the residue in k_E of X(pi^{re} H_i), a unit at
+valuation 0 (the JSON spells out `"valuation": "0"` and accepts nothing
+else).  X(pi^{re} H_alpha) is then sum_i lambda_i a_i plus terms of
+positive valuation, so X(H_alpha) has valuation exactly -r (Yu's GE1)
+iff that residue sum is nonzero: genericity is one linear sum per coroot.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ CASE_LABELS = ("Case1-unram", "Case1-ram", "A", "Dodd", "E6-unram", "E6-ram")
 
 
 # ---------------------------------------------------------------------------
-# extension specs and leading-term calculus
+# extension specs
 # ---------------------------------------------------------------------------
 
 
@@ -99,69 +101,6 @@ class ExtensionSpec:
         )
 
 
-@dataclass(frozen=True)
-class TameLeadingTerm:
-    """Leading term of a tame element: exact valuation and unit residue.
-
-    residue None encodes Unknown: the valuation is a strict lower bound and
-    the exact leading coefficient is not certified.
-    """
-
-    valuation: Fraction
-    residue: Optional[tuple]
-
-    @property
-    def known(self) -> bool:
-        return self.residue is not None
-
-    def add(self, other: "TameLeadingTerm", ext: FieldExtension) -> "TameLeadingTerm":
-        if not self.known or not other.known:
-            lb = min(self.valuation, other.valuation)
-            known = self if self.known else (other if other.known else None)
-            if known is not None:
-                unknown = other if self.known else self
-                if known.valuation <= unknown.valuation:
-                    return known
-            return TameLeadingTerm(lb, None)
-        if self.valuation < other.valuation:
-            return self
-        if other.valuation < self.valuation:
-            return other
-        s = ext.add(self.residue, other.residue)
-        if ext.is_zero(s):
-            return TameLeadingTerm(self.valuation, None)
-        return TameLeadingTerm(self.valuation, s)
-
-    def mul(self, other: "TameLeadingTerm", ext: FieldExtension) -> "TameLeadingTerm":
-        if not self.known or not other.known:
-            return TameLeadingTerm(self.valuation + other.valuation, None)
-        return TameLeadingTerm(
-            self.valuation + other.valuation, ext.mul(self.residue, other.residue)
-        )
-
-    def scale(self, n: int, ext: FieldExtension) -> "TameLeadingTerm":
-        """Multiply by a rational integer unit of the base (n nonzero mod p)."""
-        if n % ext.p == 0:
-            raise ValueError("integer scale must be a unit in the residue field")
-        if not self.known:
-            return self
-        return TameLeadingTerm(self.valuation, ext.smul(n, self.residue))
-
-    def to_json_dict(self, ext: FieldExtension) -> dict:
-        return {
-            "valuation": str(self.valuation),
-            "residue": None if self.residue is None else ext.element_to_json(self.residue),
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict, ext: FieldExtension) -> "TameLeadingTerm":
-        res = data["residue"]
-        return TameLeadingTerm(
-            Fraction(data["valuation"]),
-            None if res is None else ext.element_from_json(res),
-        )
-
-
 # ---------------------------------------------------------------------------
 # data
 # ---------------------------------------------------------------------------
@@ -177,7 +116,7 @@ class ZeroToralDatum:
     q: int
     n: int  # depth window index: depth in (n, n+1]
     depth: Fraction
-    coords: tuple[TameLeadingTerm, ...]  # leading terms of X(pi^{r e} H_i)
+    coords: tuple[tuple, ...]  # residues of X(pi^{r e} H_i), in k_E
     case: str
 
     def __post_init__(self):
@@ -191,6 +130,8 @@ class ZeroToralDatum:
             raise ValueError(f"unknown case label {self.case}")
         if not (Fraction(self.n) < self.depth <= Fraction(self.n + 1)):
             raise ValueError("depth outside the admissible window")
+        if (self.depth * self.ext.ram_index).denominator != 1:
+            raise ValueError("depth times e(E/F) must be an integer")
         m = linalg.mat_sub(
             self._sigma_action(), linalg.identity(self.rs.rank)
         )
@@ -206,9 +147,8 @@ class ZeroToralDatum:
     def descent_equations(self) -> list[tuple[str, linalg.Matrix, tuple, int]]:
         """(label, lattice matrix, unit factor on the twisted side, frobenius power)."""
         ext = self.ext
-        re_power = self.depth * ext.ram_index
-        assert re_power.denominator == 1
-        c_eff = ext.residue.pow(ext.unif_ratio, int(re_power))
+        re_power = int(self.depth * ext.ram_index)
+        c_eff = ext.residue.pow(ext.unif_ratio, re_power)
         eqs = [("sigma", self._sigma_action(), c_eff, ext.frobenius_power())]
         if (
             self.case.startswith("Case1")
@@ -222,10 +162,6 @@ class ZeroToralDatum:
             eqs.append(("tau", self.delta.matrix(), ext.residue.one(), 0))
         return eqs
 
-    def residues(self) -> list[tuple]:
-        assert all(c.known for c in self.coords)
-        return [c.residue for c in self.coords]
-
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
@@ -238,7 +174,10 @@ class ZeroToralDatum:
             "delta": list(self.delta.permutation),
             "cocycle": [list(r) for r in self.cocycle.matrix],
             "ext": self.ext.to_json_dict(),
-            "coords": [c.to_json_dict(self.ext.residue) for c in self.coords],
+            "coords": [
+                {"residue": self.ext.residue.element_to_json(c), "valuation": "0"}
+                for c in self.coords
+            ],
         }
 
     def to_json(self) -> str:
@@ -262,9 +201,7 @@ def datum_from_json(text: str) -> ZeroToralDatum:
             q=data["q"],
             n=data["n"],
             depth=Fraction(data["depth"]),
-            coords=tuple(
-                TameLeadingTerm.from_json_dict(c, ext.residue) for c in data["coords"]
-            ),
+            coords=tuple(ext.residue.element_from_json(c["residue"]) for c in data["coords"]),
             case=data["case"],
         )
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
@@ -286,7 +223,7 @@ class DescentRow:
 @dataclass(frozen=True)
 class CorootRow:
     expansion: tuple[int, ...]
-    residue: Optional[list]
+    residue: list
     ok: bool
 
 
@@ -356,17 +293,16 @@ class GenericityReport:
 def verify_galois_descent(d: ZeroToralDatum) -> GenericityReport:
     """Check the generator equivariance equations on every simple coroot."""
     res_field = d.ext.residue
-    coords = d.residues()
     rows = []
     notes = []
     for label, m, c_eff, frob_k in d.descent_equations():
         cols = [linalg.mat_vec(m, c.expansion) for c in d.rs.simple_coroots]
         for i in range(d.rs.rank):
-            lhs = res_field.mul(c_eff, res_field.frobenius(coords[i], frob_k))
+            lhs = res_field.mul(c_eff, res_field.frobenius(d.coords[i], frob_k))
             rhs = res_field.zero()
             for j, mu in enumerate(cols[i]):
                 if mu:
-                    rhs = res_field.add(rhs, res_field.smul(mu, coords[j]))
+                    rhs = res_field.add(rhs, res_field.smul(mu, d.coords[j]))
             rows.append(
                 DescentRow(
                     label,
@@ -385,24 +321,18 @@ def verify_galois_descent(d: ZeroToralDatum) -> GenericityReport:
 
 
 def verify_genericity(d: ZeroToralDatum) -> GenericityReport:
-    """Evaluate the functional on every coroot; all residues must be units."""
-    res_field = d.ext.residue
+    """Evaluate the functional on every coroot: the row is the residue sum
+    sum_i lambda_i a_i, and genericity asks it to be nonzero.  Every
+    coefficient lambda_i is below h < p, so no term vanishes mod p."""
+    res = d.ext.residue
     rows = []
     for coroot in d.rs.coroots:
-        term: Optional[TameLeadingTerm] = None
-        for lam, coord in zip(coroot.expansion, d.coords):
-            if lam == 0:
-                continue
-            scaled = coord.scale(lam, res_field) if lam % res_field.p else TameLeadingTerm(coord.valuation, None)
-            term = scaled if term is None else term.add(scaled, res_field)
-        assert term is not None
-        ok = term.known and not res_field.is_zero(term.residue)
+        total = res.zero()
+        for lam, a in zip(coroot.expansion, d.coords):
+            if lam:
+                total = res.add(total, res.smul(lam, a))
         rows.append(
-            CorootRow(
-                coroot.expansion,
-                None if not term.known else res_field.element_to_json(term.residue),
-                bool(ok),
-            )
+            CorootRow(coroot.expansion, res.element_to_json(total), not res.is_zero(total))
         )
     return GenericityReport(tuple(rows), ())
 
@@ -414,10 +344,6 @@ def verify_datum(d: ZeroToralDatum) -> GenericityReport:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-
-def _unit_terms(residues: Sequence[tuple]) -> tuple[TameLeadingTerm, ...]:
-    return tuple(TameLeadingTerm(Fraction(0), r) for r in residues)
 
 
 def build_dodd_coordinates(s: int, q: int) -> tuple[ExtensionSpec, list[tuple]]:
@@ -521,7 +447,7 @@ def build_generic_element(
         )
         if ramified:
             spec = ExtensionSpec.ramified_quadratic(p, f)
-            coords = _unit_terms([spec.residue.one()] * rs.rank)
+            coords = (spec.residue.one(),) * rs.rank
             datum = ZeroToralDatum(
                 rs, delta, cocycle, spec, p, q, n,
                 Fraction(2 * n + 1, 2), coords, "Case1-ram",
@@ -529,7 +455,7 @@ def build_generic_element(
         else:
             spec = ExtensionSpec.unramified(p, f, 2)
             a = spec.residue.find_trace_zero_generator()
-            coords = _unit_terms([a] * rs.rank)
+            coords = (a,) * rs.rank
             datum = ZeroToralDatum(
                 rs, delta, cocycle, spec, p, q, n,
                 Fraction(n + 1), coords, "Case1-unram",
@@ -538,7 +464,7 @@ def build_generic_element(
         spec = ExtensionSpec.unramified(p, f, rs_type.rank + 1)
         res = spec.residue
         a = res.find_trace_zero_generator()
-        coords = _unit_terms([res.frobenius(a, i) for i in range(rs_type.rank)])
+        coords = tuple(res.frobenius(a, i) for i in range(rs_type.rank))
         w = weyl_from_word(rs, range(1, rs.rank + 1))
         datum = ZeroToralDatum(
             rs, delta, w, spec, p, q, n, Fraction(n + 1), coords, "A"
@@ -548,7 +474,7 @@ def build_generic_element(
         w = weyl_from_word(rs, range(1, rs.rank + 1))
         datum = ZeroToralDatum(
             rs, delta, w, spec, p, q, n, Fraction(n + 1),
-            _unit_terms(residues), "Dodd",
+            tuple(residues), "Dodd",
         )
     elif rs_type.family == "E" and rs_type.rank == 6:
         use_ramified = ramified or q % 3 == 1
@@ -559,13 +485,13 @@ def build_generic_element(
             spec, residues = build_e6_coordinates("ramified_cubic", q)
             datum = ZeroToralDatum(
                 rs, delta, w, spec, p, q, n, Fraction(3 * n + 1, 3),
-                _unit_terms(residues), "E6-ram",
+                tuple(residues), "E6-ram",
             )
         else:
             spec, residues = build_e6_coordinates("unramified_cubic", q)
             datum = ZeroToralDatum(
                 rs, delta, w, spec, p, q, n, Fraction(n + 1),
-                _unit_terms(residues), "E6-unram",
+                tuple(residues), "E6-unram",
             )
     else:
         raise ValueError(f"no construction dispatchable for {rs_type} with this form")
@@ -685,17 +611,9 @@ def twist_datum(
     `OneToralDatum`.
 
     The twist is generic whenever the datum is, so genericity is not
-    verified again.  Proof: the twist multiplies every coordinate residue
-    by u mod p, a unit of F_p, and keeps every valuation.
-    `verify_genericity` folds each coroot with `TameLeadingTerm.scale` and
-    `add` only.  `scale(lam)` multiplies a known residue by lam, which
-    commutes with multiplying by u; a lam divisible by p gives an Unknown
-    term of the coordinate's valuation, twisted or not.  `add` chooses its Unknown and lower-valuation branches from the
-    valuations and from which terms are known, and the twist changes
-    neither; on equal valuations it returns u*a + u*b = u*(a + b), which is
-    zero exactly when a + b is, u being a unit.  By induction along the
-    fold, each twisted coroot row is u times the untwisted row, with the
-    same ok flag.
+    verified again.  Proof: each coroot row is linear in the coordinates,
+    so scaling them by the unit u scales every row by u, and u*s is
+    nonzero exactly when s is.
     """
     if isinstance(d, OneToralDatum):
         # the window inequality couples the chain extremes, not the factors
@@ -727,7 +645,7 @@ def twist_datum(
     if not r0 - v > rd / 2:
         raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
     res = d.ext.residue
-    new_coords = tuple(c.scale(unit, res) for c in d.coords)
+    new_coords = tuple(res.smul(unit, c) for c in d.coords)
     new_depth = d.depth - v
     new_n = new_depth.__ceil__() - 1
     return replace(d, coords=new_coords, depth=new_depth, n=new_n)

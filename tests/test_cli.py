@@ -67,10 +67,15 @@ def _shift_residue(data):
         lambda data: data.update(n=True),
         lambda data: data["ext"]["residue"].update(f=1.0),
         lambda data: data["delta"].__setitem__(0, float(data["delta"][0])),
+        lambda data: data["coords"][0].update(residue=None),
+        lambda data: data["coords"][0].update(valuation="1"),
+        lambda data: [c.update(valuation="1/2") for c in data["coords"]],
+        lambda data: data.update(depth="3/2"),
     ],
     ids=[
         "residue+p", "extra-key", "q-not-p^f", "no-case", "short-coords", "short-residue",
         "type-not-str", "q-float", "p-float", "n-bool", "f-float", "delta-float",
+        "residue-null", "valuation-1", "valuations-half", "depth-times-e-not-integral",
     ],
 )
 def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
@@ -81,7 +86,8 @@ def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
     datum.write_text(json.dumps(data, sort_keys=True))
     capsys.readouterr()
     assert main(["verify", str(datum)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -161,6 +167,8 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
         (["cusp", "--samples", "0"], "samples must be"),
         (["cusp", "--samples", "-3"], "samples must be"),
         (["depth", "--max-m", "0"], "max-m must be"),
+        (["depth", "--level-m", "0"], "level-m must be"),
+        (["depth", "--level-m", "-1"], "level-m must be"),
         (["depth", "--level-p", "9"], "p must be"),
         (["depth", "--level-p", "25"], "p must be"),
     ],
@@ -168,7 +176,7 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
         "cusp-p4", "cusp-p9", "cusp-p15", "cusp-p-5", "congruence-N0", "congruence-N-1",
         "sweep-prime-4", "sweep-n0", "sweep-q-exponent-0", "build-A2-ramified",
         "build-D5-ramified", "cusp-m0", "cusp-samples0", "cusp-samples-3", "depth-max-m0",
-        "depth-level-p9", "depth-level-p25",
+        "depth-level-m0", "depth-level-m-1", "depth-level-p9", "depth-level-p25",
     ],
 )
 def test_invalid_parameters_exit_two(argv, name, tmp_path, capsys):

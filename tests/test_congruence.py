@@ -496,6 +496,19 @@ def test_quotient_map_check_asserts_the_basis_against_the_exponent(monkeypatch):
             quotient_map_check(model)
 
 
+def test_space_builds_one_fixed_basis_per_stabilizer_exponent(monkeypatch):
+    calls = []
+    basis = AmRing.fixed_module_basis
+    monkeypatch.setattr(
+        AmRing, "fixed_module_basis", lambda ring, t: calls.append(t) or basis(ring, t)
+    )
+    for model in (builtin_free_model(3, 1), builtin_nonfree_model(3, 2), *delta_models()):
+        calls.clear()
+        space = build_space(model, AM_PSI)
+        assert sorted(calls) == sorted(set(space.stab_exponents))
+        assert space.orbit_bases == [basis(space.ring, t) for t in space.stab_exponents]
+
+
 def test_killed_orbit_contributes_zero_submodule():
     model = builtin_nonfree_model(3, 1)  # stabilizer exponent 0: killed
     space = build_space(model, AM_PSI)

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from forge.ffield import build_extension
 from forge.rootsys import (
     DiagramAutomorphism,
     RootSystemType,
@@ -19,7 +18,6 @@ from forge.rootsys import (
 from forge.sweep import SweepConfig, all_irreducible_types
 from forge.toraldata import (
     OneToralFactor,
-    TameLeadingTerm,
     assemble_one_toral,
     build_dodd_coordinates,
     build_e6_coordinates,
@@ -36,36 +34,6 @@ T = RootSystemType.parse
 
 
 # ---------------------------------------------------------------------------
-# leading-term calculus
-# ---------------------------------------------------------------------------
-
-
-def test_leading_term_addition_and_unknown():
-    ext = build_extension(5, 1, 1)
-    one = TameLeadingTerm(Fraction(0), ext.one())
-    minus = TameLeadingTerm(Fraction(0), ext.neg(ext.one()))
-    deep = TameLeadingTerm(Fraction(2), ext.one())
-    assert one.add(deep, ext) == one
-    cancel = one.add(minus, ext)
-    assert not cancel.known
-    # Unknown absorbs terms that sit strictly above its bound...
-    assert not cancel.add(deep, ext).known
-    # ...but a term at or below the bound dominates and stays known
-    assert cancel.add(one, ext).known
-    assert cancel.add(TameLeadingTerm(Fraction(-1), ext.one()), ext).known
-    prod = one.mul(deep, ext)
-    assert prod.valuation == Fraction(2) and prod.known
-
-
-def test_leading_term_scale_requires_unit():
-    ext = build_extension(5, 1, 1)
-    t = TameLeadingTerm(Fraction(0), ext.one())
-    assert t.scale(3, ext).residue == ext.from_int(3)
-    with pytest.raises(ValueError):
-        t.scale(5, ext)
-
-
-# ---------------------------------------------------------------------------
 # case-1 data
 # ---------------------------------------------------------------------------
 
@@ -75,8 +43,8 @@ def test_b2_case1_unramified_brute_force():
     assert d.case == "Case1-unram"
     assert d.depth == 2
     res = d.ext.residue
-    a = d.coords[0].residue
-    assert all(c.residue == a for c in d.coords)
+    a = d.coords[0]
+    assert all(c == a for c in d.coords)
     assert res.frobenius(a) == res.neg(a)
     rep = verify_datum(d)
     assert rep.verdict
@@ -88,7 +56,7 @@ def test_case1_ramified_depth_and_signs():
     d = build_generic_element(T("B2"), None, 5, 5, 1, ramified=True)
     assert d.case == "Case1-ram"
     assert d.depth == Fraction(3, 2)
-    assert all(c.residue == d.ext.residue.one() for c in d.coords)
+    assert all(c == d.ext.residue.one() for c in d.coords)
     assert verify_datum(d).verdict
 
 
@@ -138,8 +106,8 @@ def test_a2_datum_coordinates_are_frobenius_orbit():
     d = build_generic_element(T("A2"), None, 5, 5, 1)
     assert d.case == "A"
     res = d.ext.residue
-    a = d.coords[0].residue
-    assert d.coords[1].residue == res.frobenius(a)
+    a = d.coords[0]
+    assert d.coords[1] == res.frobenius(a)
     assert res.is_zero(res.trace(a))
     assert verify_datum(d).verdict
 
@@ -153,9 +121,7 @@ def test_a_type_descent_negative_control_fails_at_last_index():
         for a in res.elements()
         if not res.is_zero(res.trace(a)) and res.minimal_polynomial_degree(a) == 3
     )
-    coords = [
-        TameLeadingTerm(Fraction(0), res.frobenius(bad, i)) for i in range(2)
-    ]
+    coords = [res.frobenius(bad, i) for i in range(2)]
     rep = verify_galois_descent(replace(d, coords=tuple(coords)))
     assert not rep.descent_ok
     failing = [r.index for r in rep.descent_rows if not r.ok]
@@ -254,10 +220,10 @@ def test_e6_ramified_datum_p13():
     # literal coordinate values c1 + c2*zeta
     for coord, (c1, c2) in zip(d.coords, E6_RAM_SYMBOLIC):
         want = res.add(res.smul(c1, res.one()), res.smul(c2, zeta))
-        assert coord.residue == want
+        assert coord == want
     # descent literally checks zeta * a_i = sum of the action row
     for row in rep.descent_rows:
-        coord = d.coords[row.index - 1].residue
+        coord = d.coords[row.index - 1]
         assert row.lhs == res.element_to_json(res.mul(zeta, coord))
 
 
@@ -325,7 +291,7 @@ def test_zero_coordinate_fails_genericity():
     d = build_generic_element(T("B2"), None, 5, 5, 1)
     res = d.ext.residue
     coords = list(d.coords)
-    coords[0] = TameLeadingTerm(Fraction(0), None)
+    coords[0] = res.zero()
     rep = verify_genericity(replace(d, coords=tuple(coords)))
     assert not rep.genericity_ok
     assert rep.failing_coroots()
@@ -333,7 +299,7 @@ def test_zero_coordinate_fails_genericity():
 
 def test_all_zero_coordinates_fail_everywhere():
     d = build_generic_element(T("A2"), None, 5, 5, 1)
-    coords = [TameLeadingTerm(Fraction(0), None)] * 2
+    coords = [d.ext.residue.zero()] * 2
     rep = verify_genericity(replace(d, coords=tuple(coords)))
     assert all(not r.ok for r in rep.coroot_rows)
 
@@ -406,7 +372,7 @@ def test_twist_by_unit_keeps_depth_and_genericity():
     assert td.depth == d.depth
     assert verify_genericity(td).genericity_ok
     res = d.ext.residue
-    assert td.coords[0].residue == res.smul(3, d.coords[0].residue)
+    assert td.coords[0] == res.smul(3, d.coords[0])
 
 
 def test_twist_by_p_drops_depth():
@@ -502,6 +468,46 @@ def test_twist_one_toral_chain_inequality_uses_extremes():
 # ---------------------------------------------------------------------------
 
 
+def leading_term_fold(res, expansion, terms):
+    """Reference: the leading-term fold that `verify_genericity` ran before
+    coordinates became unit residues.  A term is (valuation, residue) with
+    residue None for Unknown, a strict lower bound whose leading coefficient
+    is not certified; equal-valuation residues that cancel turn Unknown.
+    Returns the folded term of one coroot row."""
+
+    def add(x, y):
+        if x[1] is None or y[1] is None:
+            known = [z for z in (x, y) if z[1] is not None]
+            unknown = x if x[1] is None else y
+            if known and known[0][0] <= unknown[0]:
+                return known[0]
+            return (min(x[0], y[0]), None)
+        if x[0] != y[0]:
+            return min(x, y, key=lambda z: z[0])
+        s = res.add(x[1], y[1])
+        return (x[0], None if res.is_zero(s) else s)
+
+    term = None
+    for lam, (v, a) in zip(expansion, terms):
+        if lam:
+            scaled = (v, None if lam % res.p == 0 or a is None else res.smul(lam, a))
+            term = scaled if term is None else add(term, scaled)
+    return term
+
+
+def assert_rows_match_leading_term_fold(d, terms, rows):
+    """The residue-sum rows equal the fold's wherever its residue is known;
+    where it is Unknown the row is the zero element and fails."""
+    res = d.ext.residue
+    assert [r.expansion for r in rows] == [c.expansion for c in d.rs.coroots]
+    for row in rows:
+        _, old = leading_term_fold(res, row.expansion, terms)
+        if old is None:
+            assert row.residue == res.element_to_json(res.zero()) and not row.ok
+        else:
+            assert (row.residue, row.ok) == (res.element_to_json(old), not res.is_zero(old))
+
+
 # sha256 over the JSON of every datum and twist hashed below: it pins the
 # residue moduli, generator-power and trace-zero coordinates byte for byte
 SWEEP_GOLDEN_SHA256 = "f796d85c66865e26e40f7d2dace98bae9d47cb896a4b39cff4700ce7b2762f69"
@@ -520,6 +526,7 @@ def test_full_sweep_q_p_and_p_squared():
         d = build_generic_element(t, None, p, q, n)
         rep = verify_datum(d)
         assert rep.verdict, (str(t), p, q, n)
+        assert_rows_match_leading_term_fold(d, [(0, a) for a in d.coords], rep.coroot_rows)
         res = d.ext.residue
         m = n // 2 + 1  # the sweep's twists: i = p^texp * u below p^m
         for texp in range(m):
@@ -530,8 +537,7 @@ def test_full_sweep_q_p_and_p_squared():
                 want = [
                     (
                         r.expansion,
-                        None if r.residue is None
-                        else res.element_to_json(res.smul(u, res.element_from_json(r.residue))),
+                        res.element_to_json(res.smul(u, res.element_from_json(r.residue))),
                         r.ok,
                     )
                     for r in rep.coroot_rows
@@ -551,6 +557,9 @@ def test_sweep_negative_controls_single_zero_coordinate():
         d = build_generic_element(T(name), None, p, p, 1)
         for k in range(d.rs.rank):
             coords = list(d.coords)
-            coords[k] = TameLeadingTerm(Fraction(0), None)
+            coords[k] = d.ext.residue.zero()
             rep = verify_genericity(replace(d, coords=tuple(coords)))
             assert not rep.genericity_ok
+            terms = [(0, a) for a in d.coords]
+            terms[k] = (0, None)
+            assert_rows_match_leading_term_fold(d, terms, rep.coroot_rows)
