@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-import sympy
-
 from . import kernel, linalg
 from .cyclotomic import cyclotomic_poly
 from .finitegroups import (
@@ -111,7 +109,7 @@ class FiniteModel:
         delta_gens: Sequence = (),
         name: str = "model",
     ):
-        if not sympy.isprime(p):
+        if not kernel.is_prime(p):
             raise ValueError(f"p must be prime, got p = {p}")
         if m < 1:
             raise ValueError(f"m must be at least 1, got m = {m}")

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import sympy
-
 from . import kernel
 from .cyclotomic import CycloInt
 from .linalg import mat_mod, mat_scale
@@ -223,7 +221,7 @@ def elliptic_seed(p: int, K: int) -> EllipticSeed:
     integral displacement keeps the reduced characteristic discriminant in
     the nonsquare class 4*eps, so no Borel subalgebra meets the coset.
     """
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not kernel.is_prime(p):
         raise ValueError(f"p must be an odd prime, got p = {p}")
     if K < 3:
         raise ValueError("precision K >= 3 required")

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from . import kernel
 from .ffield import build_extension
 
@@ -167,7 +165,7 @@ def factor_level_map(
     pairing, normalized into Z/p^m.  Requires the character image order to
     be exactly p^m.
     """
-    if not sympy.isprime(p):
+    if not kernel.is_prime(p):
         raise ValueError(f"p must be prime, got p = {p}")
     if lat.e_F != 1:
         raise ValueError("level-map extraction is modeled for e_F = 1")
@@ -199,28 +197,6 @@ def factor_level_map(
     if not lm.surjective:
         raise ValueError("order mismatch: functional does not surject onto Z/p^m")
     return lm
-
-
-def combine_product(maps: Sequence[LevelMap]) -> LevelMap:
-    """Sum map on a product domain; surjective iff some factor is."""
-    if not maps:
-        raise ValueError("no maps to combine")
-    p, m = maps[0].p, maps[0].m
-    if any((lm.p, lm.m) != (p, m) for lm in maps):
-        raise ValueError("target mismatch")
-    gens, images, orders = [], [], []
-    for idx, lm in enumerate(maps):
-        gens.extend(f"f{idx+1}.{g}" for g in lm.generators)
-        images.extend(lm.images)
-        orders.extend(lm.generator_orders)
-    return LevelMap(
-        p,
-        m,
-        tuple(gens),
-        tuple(images),
-        tuple(orders),
-        " x ".join(lm.domain for lm in maps),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,14 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-import sympy
-
 from . import kernel
-
-_FACTOR_EFFORT_BOUND = 10**40
 
 
 class PrimeField:
     """F_p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if not sympy.isprime(p):
+        if not kernel.is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = self.size = p
 
@@ -193,10 +189,7 @@ class FieldExtension:
     @cached_property
     def _order_primes(self) -> tuple[tuple, tuple]:
         """The primes of q^n - 1 that divide q - 1, and the others."""
-        order = self.size - 1
-        if order >= _FACTOR_EFFORT_BOUND:
-            raise ValueError("factorization effort bound exceeded for q^n - 1")
-        primes = sympy.primefactors(order)
+        primes = kernel.prime_factors(self.size - 1)
         return (
             tuple(ell for ell in primes if (self.q - 1) % ell == 0),
             tuple(ell for ell in primes if (self.q - 1) % ell),

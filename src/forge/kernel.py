@@ -6,7 +6,8 @@ F_q[x]/(h) with q = p^f > p and R[x]/(x^e - p) over a coefficient ring
 with tuple elements.  The module also holds square-and-multiply, the
 product-tree order test, the q-power Frobenius as columns, Rabin's test by
 iterated Frobenius with the modulus search, the p-adic valuation, the
-prime-power parser and the JSON int check.
+integer number theory (primality, factoring, the prime-power parser) and
+the JSON int check.
 
 Polynomials are little-endian tuples; a modulus lists every coefficient,
 the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-import sympy
 
 
 class IntPolyRing:
@@ -244,7 +243,7 @@ def is_irreducible(field, modulus: tuple) -> bool:
     ring = field.poly_ring(modulus)
     cols = frobenius_columns(ring, field.size)
     x = y = cols[0][-1:] + cols[0][:-1]
-    checks = {n // ell for ell in sympy.primefactors(n)}
+    checks = {n // ell for ell in prime_factors(n)}
     for k in range(1, n + 1):
         y = ring.apply(cols, y)
         if k in checks and gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
@@ -281,13 +280,136 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+# Miller-Rabin to the first 13 prime bases proves primality below
+# MR_BOUND: the smallest composite that is a strong probable prime to all of
+# them is MR_BOUND itself (J. Sorenson & J. Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly: trial division by the bases, then a
+    strong-probable-prime test to each base.  ValueError for a strong
+    probable prime at or above MR_BOUND, whose primality the test leaves
+    open."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MR_BOUND:
+        raise ValueError(
+            f"{n} is a strong probable prime to the bases 2, ..., 41, which "
+            f"decides primality only below {MR_BOUND}"
+        )
+    return True
+
+
+_TRIAL_PRIMES = tuple(filter(is_prime, range(1000)))
+# Brent's rho takes about sqrt(ell) steps to split off a prime ell, so the
+# cap reaches every ell below roughly 10^11
+_RHO_STEP_CAP = 1 << 20
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending: trial division below 1000,
+    then Brent's rho on the cofactor, each part's primality by is_prime.
+
+    ValueError ("factorization effort bound exceeded") when a part is a
+    strong probable prime at or above MR_BOUND, or when splitting a
+    composite part takes more than _RHO_STEP_CAP steps."""
+    primes = []
+    for ell in _TRIAL_PRIMES:
+        if ell * ell > n:
+            break
+        if n % ell == 0:
+            primes.append(ell)
+            while n % ell == 0:
+                n //= ell
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        try:
+            prime = is_prime(m)
+        except ValueError as exc:
+            raise ValueError(f"factorization effort bound exceeded: {exc}") from None
+        if prime:
+            primes.append(m)
+        else:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
+    return sorted(set(primes))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n with no prime below 1000, by
+    Brent's rho (R. P. Brent, BIT 20, 1980): x -> x^2 + c from x = 2 for
+    c = 1, 2, ..., the differences multiplied 128 at a time between gcds."""
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r  # a round: r steps ahead, then up to r compared
+            if steps > _RHO_STEP_CAP:
+                raise ValueError(
+                    f"factorization effort bound exceeded: {n} not split in "
+                    f"{_RHO_STEP_CAP} rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, f) with q = p^f; raises ValueError unless q is a prime power."""
-    fac = sympy.factorint(q)
-    if q < 2 or len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    ((p, f),) = fac.items()
-    return int(p), int(f)
+    """(p, f) with q = p^f; raises ValueError unless q is a prime power.
+    Each f <= log2 q has one candidate, the integer f-th root of q."""
+    for f in range(1, max(q, 1).bit_length()):
+        p = _iroot(q, f)
+        if p**f == q and is_prime(p):
+            return p, f
+    raise ValueError(f"{q} is not a prime power")
 
 
 def reject_float_and_bool(value) -> None:

@@ -199,14 +199,19 @@ def weyl_identity(rs: RootSystem) -> WeylElement:
 
 
 def weyl_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    """Product of simple reflections; the rightmost letter acts first."""
+    """Product of simple reflections; the rightmost letter acts first.
+
+    Built from the right by left multiplications: s_i changes only
+    coordinate i, v_i -> v_i - <alpha_i, v>, so each letter rewrites one row
+    from the rows its Cartan row touches, not a full matrix product."""
     for i in word:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
-    m = linalg.identity(rs.rank)
-    for i in word:
-        m = linalg.mat_mul(m, rs.reflections[i - 1])
-    return WeylElement(m)
+    rows = [list(row) for row in linalg.identity(rs.rank)]
+    for i in reversed(word):
+        terms = [(c, rows[j]) for j, c in enumerate(rs.cartan[i - 1]) if c]
+        rows[i - 1] = [x - sum(c * r[k] for c, r in terms) for k, x in enumerate(rows[i - 1])]
+    return WeylElement(linalg.mat_freeze(rows))
 
 
 def weyl_apply(w: WeylElement, coroot: Coroot) -> Coroot:
@@ -257,8 +262,10 @@ def cyclotomic_exponents(w: WeylElement, order: int) -> tuple[int, ...]:
     return tuple(sorted(exponents))
 
 
+@lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    """The longest element w_0, by greedy descent on a dominant vector."""
+    """The longest element w_0, by greedy descent on a dominant vector;
+    cached per root system, which `build_root_system` makes once per type."""
     lam = [0] * rs.rank
     for c in rs.positive_coroots:
         for j in range(rs.rank):

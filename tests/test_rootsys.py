@@ -239,6 +239,16 @@ def test_empty_word_is_identity():
     assert w.matrix == linalg.identity(3)
 
 
+@given(st.sampled_from(ALL_TYPES), st.data())
+def test_word_is_the_product_of_reflection_matrices(t, data):
+    rs = build_root_system(t)
+    word = data.draw(st.lists(st.integers(1, t.rank), max_size=40))
+    want = linalg.identity(t.rank)
+    for i in word:
+        want = linalg.mat_mul(want, rs.reflections[i - 1])
+    assert weyl_from_word(rs, word).matrix == want
+
+
 def test_word_index_out_of_range():
     rs = build_root_system(RootSystemType.parse("A2"))
     with pytest.raises(ValueError):

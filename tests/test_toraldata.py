@@ -4,6 +4,8 @@ The ground truth throughout is brute-force residue evaluation over the
 full coroot set of each lattice.
 """
 
+import copy
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,12 +19,14 @@ from forge.rootsys import (
 )
 from forge.sweep import SweepConfig, all_irreducible_types
 from forge.toraldata import (
+    CASE_KINDS,
     OneToralFactor,
     assemble_one_toral,
     build_dodd_coordinates,
     build_e6_coordinates,
     build_generic_element,
     datum_from_json,
+    lattice_case,
     restriction_depth,
     twist_datum,
     verify_datum,
@@ -320,6 +324,115 @@ def test_datum_json_round_trip_bit_exact():
         again = datum_from_json(text)
         assert again.to_json() == text
         assert verify_datum(again).verdict
+
+
+# the builder datums whose extension and case fields are edited below:
+# (type, p, q, ramified) for A2, B3 ramified, E6 unramified and ramified,
+# D5 and C3 over F_49
+EDITED_DATUMS = [
+    ("A2", 5, 5, False),
+    ("B3", 7, 7, True),
+    ("E6", 19, 19, False),
+    ("E6", 13, 13, True),
+    ("D5", 11, 11, False),
+    ("C3", 7, 49, False),
+]
+
+
+def _single_field_edits(data):
+    """(label, JSON text) for one-field edits of `case` and of `ext`: every
+    other case label and kind, degrees, ramification indices, each scalar
+    and x as the uniformizer ratio, and the residue field's p, f, n and
+    constant modulus coefficient."""
+    res = data["ext"]["residue"]
+    n = res["n"]
+    edits = [(("case",), c) for c in CASE_KINDS]
+    edits += [(("ext", "kind"), k) for k in ("unramified", "ramified_quadratic", "ramified_cubic", "tame")]
+    edits += [(("ext", "degree"), d) for d in (1, 2, 3, 4, 6, 8, 99)]
+    edits += [(("ext", "ram_index"), e) for e in (1, 2, 3, 99)]
+    scalars = [[c] + [0] * (n - 1) for c in range(res["p"])]
+    edits += [(("ext", "unif_ratio"), u) for u in scalars + ([[0, 1] + [0] * (n - 2)] if n > 1 else [])]
+    edits += [(("ext", "residue", "p"), res["p"] + 2), (("ext", "residue", "f"), res["f"] + 1)]
+    edits += [(("ext", "residue", "n"), m) for m in (n - 1, n + 1) if m >= 1]
+    edits += [(("ext", "residue", "modulus", 0), (res["modulus"][0] + 1) % res["p"])]
+    out = []
+    for path, value in edits:
+        edited = copy.deepcopy(data)
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        if node[path[-1]] != value:
+            node[path[-1]] = value
+            out.append((f"{'.'.join(map(str, path))}={value}", json.dumps(edited, sort_keys=True)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, p, q, ram",
+    EDITED_DATUMS,
+    ids=[f"{t}-q{q}-{'ram' if r else 'unram'}" for t, _, q, r in EDITED_DATUMS],
+)
+def test_no_single_field_edit_of_ext_or_case_verifies(name, p, q, ram):
+    """ext is derived from kind and the residue field's (p, f, n), and case
+    from the lattice and kind, so every edit is rejected as input."""
+    d = build_generic_element(T(name), None, p, q, 1, ramified=ram)
+    data = d.to_json_dict()
+    assert verify_datum(datum_from_json(json.dumps(data))).verdict
+    edits = _single_field_edits(data)
+    assert len(edits) > 20
+    accepted = []
+    for label, text in edits:
+        try:
+            datum_from_json(text)
+            accepted.append(label)
+        except ValueError:
+            pass
+    assert accepted == []
+
+
+def test_unknown_extension_kind_is_named():
+    d = build_generic_element(T("A2"), None, 5, 5, 1)
+    data = d.to_json_dict()
+    data["ext"]["kind"] = "tame"
+    with pytest.raises(ValueError, match="unknown extension kind 'tame'"):
+        datum_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "name, p, delta, ok",
+    [
+        ("D4", 7, [4, 2, 3, 1], True),
+        ("D4", 7, [1, 1, 1, 1], False),
+        ("D4", 7, [2, 1, 3, 4], False),
+        ("A2", 5, [1, 1], False),
+    ],
+    ids=["D4-swap-1-4", "D4-not-a-permutation", "D4-moves-the-centre", "A2-not-a-permutation"],
+)
+def test_datum_delta_must_be_a_diagram_automorphism(name, p, delta, ok):
+    data = build_generic_element(T(name), None, p, p, 1).to_json_dict()
+    data["delta"] = delta
+    if ok:
+        assert verify_datum(datum_from_json(json.dumps(data))).verdict
+    else:
+        with pytest.raises(ValueError, match="permutation"):
+            datum_from_json(json.dumps(data))
+
+
+def test_lattice_case_is_the_builder_dispatch():
+    for t in all_irreducible_types(8):
+        rs = build_root_system(t)
+        delta = DiagramAutomorphism(tuple(range(1, t.rank + 1)))
+        p = SweepConfig((t,)).grid()[0][0][1]
+        for ram in (False, True):
+            try:
+                d = build_generic_element(t, delta, p, p, 1, ramified=ram)
+            except ValueError:
+                continue  # E6 ramified at p = 2 mod 3
+            # not always `ram`: at q = 1 mod 3 the E6 builder is ramified
+            assert d.case == lattice_case(rs, delta, d.ext.kind != "unramified"), (t, ram)
+            assert d.ext.kind == CASE_KINDS[d.case]
+            if d.case in ("A", "Dodd"):
+                assert lattice_case(rs, delta, True) == d.case
 
 
 # ---------------------------------------------------------------------------
