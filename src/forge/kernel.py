@@ -12,7 +12,8 @@ the JSON int check.
 Polynomials are little-endian tuples; a modulus lists every coefficient,
 the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
 x^deg = -(h_0 + h_1 x + ...), as a table built once, so a reduction step
-touches only the terms the modulus has.
+touches only the terms the modulus has.  A PolyRing over an IntPolyRing
+multiplies operands with enough nonzero coefficients as one packed int.
 
 A coefficient-ring object provides zero(), one(), add, sub and mul, and
 keeps its elements canonical, so that equality is ring equality; neg and
@@ -27,6 +28,9 @@ these.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from functools import lru_cache
 from typing import Callable, Sequence
 
 
@@ -102,12 +106,34 @@ class IntPolyRing:
 
 
 class PolyRing:
-    """R[x]/(h) for a monic h over a coefficient-ring object R."""
+    """R[x]/(h) for a monic h over a coefficient-ring object R.
+
+    Over R = Z/N[y]/(g), an IntPolyRing with f = deg g, `mul` can multiply
+    by Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, sec. 8.4; D. Harvey, arXiv:0712.4046): the coefficient of
+    y^u x^i goes to slot i * (2f - 1) + u of one int, each slot B bits
+    wide, and one int product gives every slot of a * b.  The bound:
+      - slot l + k * (2f - 1) of the product is the sum of a_(i,u) * b_(j,v)
+        over i + j = k and u + v = l.  Canonical operands have deg
+        coefficients in x, each f ints in [0, N), so at most deg pairs
+        (i, j) and f pairs (u, v) meet there, and the slot is at most
+        beta = deg * f * (N - 1)^2.  As l <= 2f - 2 < 2f - 1 and no term is
+        negative, the slots neither overlap nor borrow;
+      - g's tail then rewrites y^l = sum t_j y^(l - f + j), t_j in [0, N),
+        for l = 2f - 2 down to f, in all slots at once.  Before y^l goes,
+        slot l holds at most beta * N^(2f - 2 - l): each y^l' above it added
+        at most beta * N^(2f - 2 - l') * (N - 1), and the sum telescopes.
+        The slots below f end at most beta * N^(f - 1), the largest value
+        any slot holds, so B = bitlen(beta * N^(f - 1)) suffices.
+    """
 
     def __init__(self, ring, modulus: Sequence):
         self.ring = ring
         self.deg = len(modulus) - 1
         self.tail = tuple((j, c) for j, c in enumerate(modulus[:-1]) if c != ring.zero())
+        self._packing = None
+        if isinstance(ring, IntPolyRing):
+            self._packing = _packing(self.deg, ring.deg, ring.mod)
 
     def one(self) -> tuple:
         return (self.ring.one(),) + (self.ring.zero(),) * (self.deg - 1)
@@ -125,15 +151,21 @@ class PolyRing:
         return tuple(self.ring.smul(n, x) for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
+        """a * b, packed (see the class) when nz(a) * nz(b) > deg for nz the
+        number of nonzero x-coefficients; otherwise, as when a power of x
+        is squared, the schoolbook product, whose loop skips zero terms."""
         ring, deg = self.ring, self.deg
         add, sub, mul = ring.add, ring.sub, ring.mul
         zero = ring.zero()  # canonical, so comparing with it is the zero test
-        prod = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x != zero:
-                for j, y in enumerate(b):
-                    if y != zero:
-                        prod[i + j] = add(prod[i + j], mul(x, y))
+        if self._packing and (len(a) - a.count(zero)) * (len(b) - b.count(zero)) > deg:
+            prod = self._packed_product(a, b)
+        else:
+            prod = [zero] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x != zero:
+                    for j, y in enumerate(b):
+                        if y != zero:
+                            prod[i + j] = add(prod[i + j], mul(x, y))
         for i in range(len(prod) - 1, deg - 1, -1):
             c = prod[i]
             if c != zero:
@@ -141,6 +173,35 @@ class PolyRing:
                 for j, t in self.tail:
                     prod[shift + j] = sub(prod[shift + j], mul(t, c))
         return tuple(prod[:deg]) + (zero,) * (deg - len(prod))
+
+    def _packed_product(self, a: tuple, b: tuple) -> list:
+        """The x-coefficients of a * b, each reduced mod (g, N), before the
+        reduction mod h: one int product, then g's tail on the int."""
+        ring = self.ring
+        width, code, column = self._packing
+        f, bits = ring.deg, 8 * width
+        stride, pad = 2 * f - 1, (0,) * (f - 1)
+
+        def pack(u):
+            flat = [c for x in u for c in x + pad]
+            if code:
+                return int.from_bytes(array(code, flat), "little")
+            return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in flat]), "little")
+
+        prod = pack(a)
+        prod *= prod if b is a else pack(b)
+        for l in range(2 * f - 2, f - 1, -1):
+            top = prod >> bits * l & column
+            prod -= top << bits * l
+            for j, t in ring.tail:
+                prod += top * t << bits * (l - f + j)
+        buf = prod.to_bytes((len(a) + len(b) - 1) * stride * width, "little")
+        if code:
+            slots = array(code, buf).tolist()
+        else:
+            slots = [int.from_bytes(buf[k : k + width], "little") for k in range(0, len(buf), width)]
+        slots = [c % ring.mod for c in slots]
+        return list(zip(*[slots[u::stride] for u in range(f)]))
 
     def pow(self, a: tuple, e: int) -> tuple:
         return power(self.mul, a, e, self.one())
@@ -155,6 +216,24 @@ class PolyRing:
                     if t != zero:
                         acc[j] = add(acc[j], mul(c, t))
         return tuple(acc)
+
+
+@lru_cache(maxsize=None)
+def _packing(n: int, f: int, N: int) -> tuple:
+    """(bytes per slot, array typecode or None, column mask) for the packed
+    products of PolyRing of degree n over Z/N[y]/(g) with deg g = f.  A
+    slot holds the bound in PolyRing's docstring; where a machine word does,
+    the typecode's array items are the slots.  The mask sets every bit of
+    slot 0 of each x-coefficient of a product."""
+    bound = n * f * (N - 1) ** 2 * N ** (f - 1)
+    width = -(-bound.bit_length() // 8) or 1
+    code = None
+    if sys.byteorder == "little" and width <= 8:
+        code = next(c for c in "BHIQ" if array(c).itemsize >= width)
+        width = array(code).itemsize
+    bits, stride = 8 * width, 8 * width * (2 * f - 1)
+    column = ((1 << bits) - 1) * ((1 << stride * (2 * n - 1)) - 1) // ((1 << stride) - 1)
+    return width, code, column
 
 
 def power(mul: Callable, a, e: int, one):

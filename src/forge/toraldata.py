@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import kernel, linalg
 from .ffield import FieldExtension, build_extension
@@ -31,6 +31,7 @@ from .rootsys import (
     WeylElement,
     build_root_system,
     coxeter_number,
+    is_elliptic,
     minus_one_in_W_delta,
     trivial_automorphism,
     weyl_from_word,
@@ -133,6 +134,38 @@ def lattice_case(rs: RootSystem, delta: DiagramAutomorphism, ramified: bool) -> 
     raise ValueError(f"no construction dispatchable for {t} with this form")
 
 
+def residue_degree(case: str, rank: int) -> int:
+    """[k_E : k_F], the degree of the residue field a datum of this case and
+    rank carries: 1 for the ramified cases."""
+    if case not in CASE_KINDS:
+        raise ValueError(f"unknown case label {case}")
+    return {"Case1-unram": 2, "A": rank + 1, "Dodd": 2 * rank - 2, "E6-unram": 3}.get(case, 1)
+
+
+@lru_cache(maxsize=None)
+def lattice_cocycle(rs: RootSystem, delta: DiagramAutomorphism, case: str) -> WeylElement:
+    """The lattice action of the distinguished generator in `case`: -1 on a
+    D-even lattice and -delta on the other quadratic-twist lattices, the
+    Coxeter element s_1 ... s_r for A and odd D, and (s2 s3 s5 s1 s4 s6)^4
+    for E6.  The builder takes it and every datum check compares with it.
+
+    Descent acts by -1 in Case1 and by the cocycle otherwise; ValueError
+    unless that action fixes no nonzero vector (the torus is elliptic).
+    -1 fixes none, so only the other cases take the determinant, once per
+    lattice and case rather than once per datum and twist."""
+    t = rs.type
+    if case.startswith("Case1"):
+        m = linalg.identity(rs.rank) if t.family == "D" and t.rank % 2 == 0 else delta.matrix()
+        return WeylElement(linalg.mat_scale(-1, m))
+    if case in ("A", "Dodd"):
+        w = weyl_from_word(rs, range(1, rs.rank + 1))
+    else:
+        w = weyl_from_word(rs, [2, 3, 5, 1, 4, 6]).power(4)
+    if not is_elliptic(w):
+        raise ValueError("twisted action has a nonzero fixed vector: torus not elliptic")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # data
 # ---------------------------------------------------------------------------
@@ -168,15 +201,12 @@ class ZeroToralDatum:
                 f"case {self.case} does not fit {self.rs.type} with this delta "
                 f"and a {kind} extension"
             )
+        if self.cocycle != lattice_cocycle(self.rs, self.delta, self.case):
+            raise ValueError(f"cocycle is not the lattice action of case {self.case}")
         if not (Fraction(self.n) < self.depth <= Fraction(self.n + 1)):
             raise ValueError("depth outside the admissible window")
         if (self.depth * self.ext.ram_index).denominator != 1:
             raise ValueError("depth times e(E/F) must be an integer")
-        m = linalg.mat_sub(
-            self._sigma_action(), linalg.identity(self.rs.rank)
-        )
-        if linalg.det(m) == 0:
-            raise ValueError("twisted action has a nonzero fixed vector: torus not elliptic")
 
     def _sigma_action(self) -> linalg.Matrix:
         """Lattice action of the distinguished generator used for descent."""
@@ -231,14 +261,23 @@ def datum_from_json(text: str) -> ZeroToralDatum:
     kernel.reject_float_and_bool(data)
     try:
         rs = build_root_system(RootSystemType.parse(data["type"]))
+        # the residue field's size and degree, checked before it is built;
+        # p^f has more than f * (bitlen(p) - 1) bits, so no huge f is raised to
+        p, q, res = data["p"], data["q"], data["ext"]["residue"]
+        f = res["f"]
+        if res["p"] != p or f * (p.bit_length() - 1) >= q.bit_length() or p**f != q:
+            raise ValueError("ext.residue must have the datum's p and p^f = q")
+        degree = residue_degree(data["case"], rs.rank)
+        if res["n"] != degree:
+            raise ValueError(f"ext.residue.n must be {degree} for case {data['case']} of {rs.type}")
         ext = ExtensionSpec.from_json_dict(data["ext"])
         datum = ZeroToralDatum(
             rs=rs,
             delta=DiagramAutomorphism(tuple(data["delta"])),
             cocycle=WeylElement(linalg.mat_freeze(data["cocycle"])),
             ext=ext,
-            p=data["p"],
-            q=data["q"],
+            p=p,
+            q=q,
             n=data["n"],
             depth=Fraction(data["depth"]),
             coords=tuple(ext.residue.element_from_json(c["residue"]) for c in data["coords"]),
@@ -478,33 +517,25 @@ def build_generic_element(
         case = "E6-ram"  # q = 1 mod 3 has only the ramified variant
 
     depth = Fraction(n + 1)
-    if case.startswith("Case1"):
-        if rs_type.family == "D" and rs_type.rank % 2 == 0:
-            cocycle = WeylElement(linalg.mat_scale(-1, linalg.identity(rs.rank)))
-        else:
-            cocycle = WeylElement(linalg.mat_scale(-1, delta.matrix()))
-        if case == "Case1-ram":
-            spec = ExtensionSpec.ramified_quadratic(p, f)
-            coords = (spec.residue.one(),) * rs.rank
-            depth = Fraction(2 * n + 1, 2)
-        else:
-            spec = ExtensionSpec.unramified(p, f, 2)
-            coords = (spec.residue.find_trace_zero_generator(),) * rs.rank
+    if case == "Case1-ram":
+        spec = ExtensionSpec.ramified_quadratic(p, f)
+        coords = (spec.residue.one(),) * rs.rank
+        depth = Fraction(2 * n + 1, 2)
+    elif case == "Case1-unram":
+        spec = ExtensionSpec.unramified(p, f, residue_degree(case, rs.rank))
+        coords = (spec.residue.find_trace_zero_generator(),) * rs.rank
     elif case == "A":
-        spec = ExtensionSpec.unramified(p, f, rs_type.rank + 1)
+        spec = ExtensionSpec.unramified(p, f, residue_degree(case, rs.rank))
         a = spec.residue.find_trace_zero_generator()
         coords = [spec.residue.frobenius(a, i) for i in range(rs_type.rank)]
-        cocycle = weyl_from_word(rs, range(1, rs.rank + 1))
     elif case == "Dodd":
         spec, coords = build_dodd_coordinates(rs_type.rank, q)
-        cocycle = weyl_from_word(rs, range(1, rs.rank + 1))
+    elif case == "E6-ram":
+        spec, coords = build_e6_coordinates("ramified_cubic", q)
+        depth = Fraction(3 * n + 1, 3)
     else:
-        cocycle = weyl_from_word(rs, [2, 3, 5, 1, 4, 6]).power(4)
-        if case == "E6-ram":
-            spec, coords = build_e6_coordinates("ramified_cubic", q)
-            depth = Fraction(3 * n + 1, 3)
-        else:
-            spec, coords = build_e6_coordinates("unramified_cubic", q)
+        spec, coords = build_e6_coordinates("unramified_cubic", q)
+    cocycle = lattice_cocycle(rs, delta, case)
     datum = ZeroToralDatum(rs, delta, cocycle, spec, p, q, n, depth, tuple(coords), case)
 
     report = verify_datum(datum)
@@ -514,138 +545,22 @@ def build_generic_element(
 
 
 # ---------------------------------------------------------------------------
-# depth rescaling, assembly, twisting
+# twisting
 # ---------------------------------------------------------------------------
 
 
-def restriction_depth(
-    e: int,
-    r_prime: Fraction,
-    valuation_table: Optional[Sequence[Fraction]] = None,
-) -> tuple[Fraction, Optional[list[Fraction]]]:
-    """Rescale a depth (and optionally a per-coroot valuation table) by 1/e."""
-    if e < 1:
-        raise ValueError("ramification index must be at least 1")
-    r_prime = Fraction(r_prime)
-    if r_prime <= 0:
-        raise ValueError("depth must be positive")
-    rescaled = None
-    if valuation_table is not None:
-        if any(Fraction(v) != -r_prime for v in valuation_table):
-            raise ValueError("nonuniform valuation table: genericity violated upstream")
-        rescaled = [Fraction(v) / e for v in valuation_table]
-        assert all(v == -r_prime / e for v in rescaled)
-    return r_prime / e, rescaled
-
-
-@dataclass(frozen=True)
-class OneToralFactor:
-    label: str
-    depth: Fraction
-    datum: Optional[ZeroToralDatum] = None
-
-
-@dataclass(frozen=True)
-class OneToralDatum:
-    """Chain of factor groups with strictly increasing depths in one window."""
-
-    groups: tuple[tuple[Fraction, tuple[OneToralFactor, ...]], ...]
-    n: int
-
-    @property
-    def depths(self) -> tuple[Fraction, ...]:
-        return tuple(depth for depth, _ in self.groups)
-
-    @property
-    def d(self) -> int:
-        return len(self.groups)
-
-    def __post_init__(self):
-        ds = self.depths
-        if not ds:
-            raise ValueError("empty chain")
-        if any(a >= b for a, b in zip(ds, ds[1:])):
-            raise ValueError("depths must be strictly increasing across groups")
-        if ds[-1] >= ds[0] + 1:
-            raise ValueError("depth window exceeds one unit")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "groups": [
-                {
-                    "depth": str(depth),
-                    "factors": [
-                        {
-                            "label": fac.label,
-                            "datum": None if fac.datum is None else fac.datum.to_json_dict(),
-                        }
-                        for fac in facs
-                    ],
-                }
-                for depth, facs in self.groups
-            ],
-        }
-
-
-def assemble_one_toral(factors: Sequence[OneToralFactor]) -> OneToralDatum:
-    """Group factors by depth into the increasing chain, one window check."""
-    if not factors:
-        raise ValueError("no factors")
-    windows = set()
-    for fac in factors:
-        r = Fraction(fac.depth)
-        if r <= 0:
-            raise ValueError("depths must be positive")
-        n = r.__ceil__() - 1
-        windows.add(n)
-    if len(windows) != 1:
-        raise ValueError("depths not all within a common unit half-open window")
-    n = windows.pop()
-    by_depth: dict[Fraction, list[OneToralFactor]] = {}
-    for fac in factors:
-        by_depth.setdefault(Fraction(fac.depth), []).append(fac)
-    groups = tuple(
-        (depth, tuple(by_depth[depth])) for depth in sorted(by_depth)
-    )
-    return OneToralDatum(groups, n)
-
-
-def twist_datum(
-    d: ZeroToralDatum | OneToralDatum, i: int, m: int, e_F: int = 1
-) -> ZeroToralDatum | OneToralDatum:
+def twist_datum(d: ZeroToralDatum, i: int, m: int, e_F: int = 1) -> ZeroToralDatum:
     """Scale a datum by the character power i = p^t * u, 0 < i < p^m.
 
-    Depths drop by the normalized valuation v(i) = t * e_F; leading
+    The depth drops by the normalized valuation v(i) = t * e_F; leading
     residues scale by the unit u.  The half-depth window inequality
-    r0 - v(i) > r_d / 2 is checked, on the chain extremes for a
-    `OneToralDatum`.
+    r0 - v(i) > r_d / 2 is checked.
 
     The twist is generic whenever the datum is, so genericity is not
     verified again.  Proof: each coroot row is linear in the coordinates,
     so scaling them by the unit u scales every row by u, and u*s is
     nonzero exactly when s is.
     """
-    if isinstance(d, OneToralDatum):
-        # the window inequality couples the chain extremes, not the factors
-        first = d.groups[0][1][0].datum
-        if first is None:
-            raise ValueError("cannot twist a factor without coordinates")
-        p0 = first.p
-        if not 0 < i < p0**m:
-            raise ValueError("i must satisfy 0 < i < p^m")
-        v0 = Fraction(kernel.vp(i, p0) * e_F)
-        if not d.depths[0] - v0 > d.depths[-1] / 2:
-            raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
-        twisted = []
-        for _, facs in d.groups:
-            for fac in facs:
-                if fac.datum is None:
-                    raise ValueError("cannot twist a factor without coordinates")
-                td = twist_datum(fac.datum, i, m, e_F)
-                twisted.append(OneToralFactor(fac.label, td.depth, td))
-        return assemble_one_toral(twisted)
-
     p = d.p
     if not 0 < i < p**m:
         raise ValueError("i must satisfy 0 < i < p^m")

@@ -14,6 +14,12 @@ from forge.cli import main
 from forge.rootsys import RootSystemType
 
 
+def _forge_env():
+    """The environment for a subprocess that imports this forge."""
+    src = str(Path(forge.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_build_verify_round_trip(tmp_path):
     datum = tmp_path / "e6.json"
     report = tmp_path / "report.json"
@@ -92,24 +98,34 @@ def _shift_residue(data):
         lambda data: data["ext"].update(degree=99),
         lambda data: data.update(case="E6-ram"),
         lambda data: [data["ext"].update(degree=99, ram_index=3), data.update(case="E6-ram")],
+        lambda data: data["cocycle"][0].__setitem__(0, data["cocycle"][0][0] + data["p"]),
+        lambda data: data.update(cocycle=[[0]]),
+        lambda data: data["ext"]["residue"].update(n=10**30),
+        lambda data: data["ext"]["residue"].update(f=7),
     ],
     ids=[
         "residue+p", "extra-key", "q-not-p^f", "no-case", "short-coords", "short-residue",
         "type-not-str", "q-float", "p-float", "n-bool", "f-float", "delta-float",
         "residue-null", "valuation-1", "valuations-half", "depth-times-e-not-integral",
         "ext-kind-unknown", "ext-degree-99", "case-E6-ram", "ext-degree-ram-index-and-case",
+        "cocycle+p", "cocycle-zero", "residue-n-huge", "residue-f-7",
     ],
 )
 def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
+    # verify runs as a subprocess with a timeout, so that an input that sends
+    # forge into building a huge residue field fails the test, not hangs it
     datum = tmp_path / "a2.json"
     assert main(["build", "--type", "A2", "--p", "5", "-o", str(datum)]) == 0
+    capsys.readouterr()
     data = json.loads(datum.read_text())
     mutate(data)
     datum.write_text(json.dumps(data, sort_keys=True))
-    capsys.readouterr()
-    assert main(["verify", str(datum)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    out = subprocess.run(
+        [sys.executable, "-m", "forge.cli", "verify", str(datum)],
+        env=_forge_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -309,8 +325,6 @@ def test_depth_cli(tmp_path):
 
 def test_import_leaves_sympy_unloaded():
     """The runtime is stdlib-only: sympy is a test oracle, not a dependency."""
-    src = str(Path(forge.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_forge_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -102,31 +102,109 @@ def _vectors(data, length, deg, N):
     return tuple(_element(data, deg, N) for _ in range(length))
 
 
-@given(st.sampled_from((5, 7, 11)), st.integers(1, 3), st.integers(1, 3), st.integers(2, 5), st.data())
+def _operand(data, length, deg, N):
+    """An element of R[x]/(h), R of degree deg over Z/N, from both sides of
+    PolyRing.mul's density rule: random, worst carry (every int N - 1),
+    zero, a monomial c x^k, or 1 + c x^k."""
+    kind = data.draw(st.sampled_from(("random", "worst-carry", "zero", "monomial", "one-plus-small")))
+    if kind == "random":
+        return _vectors(data, length, deg, N)
+    if kind == "worst-carry":
+        return ((N - 1,) * deg,) * length
+    out = [(0,) * deg] * length
+    if kind != "zero":
+        k = data.draw(st.integers(0, length - 1))
+        out[k] = _element(data, deg, N)
+        if kind == "one-plus-small":
+            out[0] = tuple((c + (i == 0)) % N for i, c in enumerate(out[0]))
+    return tuple(out)
+
+
+@given(st.sampled_from((5, 7, 11)), st.integers(1, 3), st.integers(1, 3), st.sampled_from((2, 3, 4, 5, 30)), st.data())
 def test_ring_mul_over_galois_ring_matches_oracle(p, f, e, K, data):
-    # R[x]/(x^e - p) over R = GR(p^K, f), the truncated tame extension
+    # R[x]/(x^e - p) over R = GR(p^K, f), the truncated tame extension;
+    # K = 30 puts every slot of the packed product above 64 bits
     N = p**K
     g = build_extension(p, 1, f).modulus
     gr = kernel.IntPolyRing(g, N)
     h = (gr.reduce([-p]),) + (gr.zero(),) * (e - 1) + (gr.one(),)
     ring = kernel.PolyRing(gr, h)
-    a, b = _vectors(data, e, f, N), _vectors(data, e, f, N)
+    a, b = _operand(data, e, f, N), _operand(data, e, f, N)
     assert ring.mul(a, b) == _bivariate_oracle(a, b, g, h, N)
+    assert ring.mul(a, a) == _bivariate_oracle(a, a, g, h, N)
     n = data.draw(st.integers(-3 * N, 3 * N))
     assert ring.smul(n, a) == _bivariate_oracle(a, ((n,),), g, h, N)
     assert ring.neg(a) == _bivariate_oracle(a, ((-1,),), g, h, N)
 
 
-@given(st.sampled_from((2, 3, 5, 7)), st.integers(2, 3), st.integers(1, 3), st.data())
-def test_extension_field_ring_matches_oracle(p, f, n, data):
+def test_packed_slots_wider_than_a_machine_word_match_oracle():
+    # GR(5^30, 3)[x]/(x^3 - 5): each slot needs more than 64 bits, so the
+    # product is packed through bytes, not an array of machine words
+    p, f, e, N = 5, 3, 3, 5**30
+    assert kernel._packing(e, f, N)[0] > 8
+    g = build_extension(p, 1, f).modulus
+    gr = kernel.IntPolyRing(g, N)
+    h = (gr.reduce([-p]),) + (gr.zero(),) * (e - 1) + (gr.one(),)
+    ring = kernel.PolyRing(gr, h)
+    worst = ((N - 1,) * f,) * e
+    dense = tuple(tuple((7**(3 * i + j) * 1_000_003) % N for j in range(f)) for i in range(e))
+    for a, b in ((worst, worst), (worst, dense), (dense, dense)):
+        assert ring.mul(a, b) == _bivariate_oracle(a, b, g, h, N)
+
+
+# F_{(p^f)^n}: small shapes at f = 2 and 3, and every field with f = 2 and
+# p <= 17 that the README sweep (`forge sweep --q-exponents 1 2`) builds
+EXTENSION_FIELDS = [(p, f, n) for p in (2, 3, 5, 7) for f in (2, 3) for n in (1, 2, 3)] + [
+    (5, 2, 4), (7, 2, 4), (7, 2, 5), (7, 2, 6), (11, 2, 2), (11, 2, 5),
+    (11, 2, 6), (11, 2, 7), (11, 2, 8), (11, 2, 9), (13, 2, 1), (13, 2, 2), (13, 2, 7),
+    (13, 2, 8), (13, 2, 9), (13, 2, 12), (17, 2, 1), (17, 2, 2), (17, 2, 12),
+]
+
+
+@given(st.sampled_from(EXTENSION_FIELDS), st.data())
+def test_extension_field_ring_matches_oracle(field, data):
     # F_{q^n} = F_q[x]/(h) over F_q = F_p[y]/(g), q = p^f: the ring K = 1
+    p, f, n = field
     ext = build_extension(p, f, n)
     g, h, ring = ext.base.modulus, ext.modulus, ext._ring
-    a, b = _vectors(data, n, f, p), _vectors(data, n, f, p)
+    a, b = _operand(data, n, f, p), _operand(data, n, f, p)
     assert ring.mul(a, b) == _bivariate_oracle(a, b, g, h, p)
+    assert ring.mul(a, a) == _bivariate_oracle(a, a, g, h, p)
     assert ext.mul(a, b) == ring.mul(a, b)
     k = data.draw(st.integers(-3 * p, 3 * p))
     assert ext.smul(k, a) == _bivariate_oracle(a, ((k,),), g, h, p)
+
+
+def test_worst_carry_products_match_oracle():
+    # every coefficient p - 1 puts each slot of the packed product near the
+    # bound its width is taken from, in every field the oracle test samples
+    for p, f, n in EXTENSION_FIELDS:
+        ext = build_extension(p, f, n)
+        worst = ((p - 1,) * f,) * n
+        want = _bivariate_oracle(worst, worst, ext.base.modulus, ext.modulus, p)
+        assert ext._ring.mul(worst, worst) == want, (p, f, n)
+
+
+def test_dense_product_is_one_packed_multiply(monkeypatch):
+    # F_{(17^2)^12}, h = x^12 + (2 + y): the schoolbook product makes 144
+    # F_q products before the reduction mod h; packed, only the reduction's
+    # n - 1 = 11 remain
+    ext = build_extension(17, 2, 12)
+    ring = ext._ring
+    a = tuple((i % 17, (5 * i + 1) % 17 or 1) for i in range(12))
+    b = tuple(((3 * i + 2) % 17 or 1, i % 17) for i in range(12))
+    calls = []
+    inner = ring.ring.mul
+
+    def counting(x, y):
+        calls.append((x, y))
+        return inner(x, y)
+
+    monkeypatch.setattr(ring.ring, "mul", counting)
+    prod = ring.mul(a, b)
+    assert len(calls) <= ext.n - 1
+    monkeypatch.undo()
+    assert prod == _bivariate_oracle(a, b, ext.base.modulus, ext.modulus, 17)
 
 
 @given(st.integers(-50, 50), st.integers(0, 200))

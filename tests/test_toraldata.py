@@ -6,28 +6,32 @@ full coroot set of each lattice.
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
 from forge.rootsys import (
     DiagramAutomorphism,
     RootSystemType,
+    WeylElement,
     build_root_system,
     standard_involution,
+    trivial_automorphism,
 )
 from forge.sweep import SweepConfig, all_irreducible_types
+from forge import kernel, linalg
 from forge.toraldata import (
     CASE_KINDS,
-    OneToralFactor,
-    assemble_one_toral,
+    ZeroToralDatum,
     build_dodd_coordinates,
     build_e6_coordinates,
     build_generic_element,
     datum_from_json,
     lattice_case,
-    restriction_depth,
+    lattice_cocycle,
+    residue_degree,
     twist_datum,
     verify_datum,
     verify_galois_descent,
@@ -435,9 +439,166 @@ def test_lattice_case_is_the_builder_dispatch():
                 assert lattice_case(rs, delta, True) == d.case
 
 
+@pytest.mark.parametrize(
+    "name, p, q, ram",
+    EDITED_DATUMS + [("B3", 7, 7, False)],
+    ids=[f"{t}-q{q}-{'ram' if r else 'unram'}" for t, _, q, r in EDITED_DATUMS + [("B3", 7, 7, False)]],
+)
+def test_no_cocycle_edit_verifies(name, p, q, ram):
+    """The cocycle is the case's lattice action, derived and compared: an
+    edit is rejected as input even where descent sees the matrix only mod
+    p, or (Case1) not at all."""
+    data = build_generic_element(T(name), None, p, q, 1, ramified=ram).to_json_dict()
+    d = datum_from_json(json.dumps(data))
+    assert d.cocycle == lattice_cocycle(d.rs, d.delta, d.case)
+    rank = len(data["cocycle"])
+    edits = [[[0]]]
+    for i in range(rank):
+        for j in range(rank):
+            edit = copy.deepcopy(data["cocycle"])
+            edit[i][j] += p
+            edits.append(edit)
+    for cocycle in edits:
+        with pytest.raises(ValueError, match="cocycle is not the lattice action"):
+            datum_from_json(json.dumps({**data, "cocycle": cocycle}))
+
+
+def test_lattice_cocycle_refuses_an_action_that_is_not_elliptic(monkeypatch):
+    # every real case is elliptic; a stand-in identity action is not
+    rs = build_root_system(T("A2"))
+    monkeypatch.setattr("forge.toraldata.weyl_from_word", lambda rs, word: WeylElement(linalg.identity(rs.rank)))
+    with pytest.raises(ValueError, match="not elliptic"):
+        lattice_cocycle.__wrapped__(rs, trivial_automorphism(rs), "A")
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("n", 10**30, "ext.residue.n must be 3"), ("n", 2, "ext.residue.n must be 3"),
+     ("f", 7, "p\\^f = q"), ("p", 7, "p\\^f = q")],
+)
+def test_residue_field_is_checked_before_it_is_built(monkeypatch, field, value, match):
+    data = build_generic_element(T("A2"), None, 5, 5, 1).to_json_dict()
+    data["ext"]["residue"][field] = value
+
+    def refuse(*args):
+        raise AssertionError(f"build_extension{args} called on unchecked input")
+
+    monkeypatch.setattr("forge.toraldata.build_extension", refuse)
+    with pytest.raises(ValueError, match=match):
+        datum_from_json(json.dumps(data))
+
+
+def test_residue_degree_of_every_builder_datum():
+    for t in all_irreducible_types(8):
+        p = SweepConfig((t,)).grid()[0][0][1]
+        for q, ram in ((p, False), (p, True), (p * p, False)):
+            try:
+                d = build_generic_element(t, None, p, q, 1, ramified=ram)
+            except ValueError:
+                continue  # no ramified variant, or E6 ramified at q = 2 mod 3
+            assert d.ext.residue.n == residue_degree(d.case, t.rank), (t, q, ram)
+
+
 # ---------------------------------------------------------------------------
 # depth rescaling / assembly / twisting
 # ---------------------------------------------------------------------------
+
+# The 1-toral chain: factor data grouped by depth in one unit window.  No
+# forge command builds or reads a chain, so it lives here with its tests.
+
+
+def restriction_depth(
+    e: int,
+    r_prime: Fraction,
+    valuation_table: Optional[Sequence[Fraction]] = None,
+) -> tuple[Fraction, Optional[list[Fraction]]]:
+    """Rescale a depth (and optionally a per-coroot valuation table) by 1/e."""
+    if e < 1:
+        raise ValueError("ramification index must be at least 1")
+    r_prime = Fraction(r_prime)
+    if r_prime <= 0:
+        raise ValueError("depth must be positive")
+    rescaled = None
+    if valuation_table is not None:
+        if any(Fraction(v) != -r_prime for v in valuation_table):
+            raise ValueError("nonuniform valuation table: genericity violated upstream")
+        rescaled = [Fraction(v) / e for v in valuation_table]
+        assert all(v == -r_prime / e for v in rescaled)
+    return r_prime / e, rescaled
+
+
+@dataclass(frozen=True)
+class OneToralFactor:
+    label: str
+    depth: Fraction
+    datum: Optional[ZeroToralDatum] = None
+
+
+@dataclass(frozen=True)
+class OneToralDatum:
+    """Chain of factor groups with strictly increasing depths in one window."""
+
+    groups: tuple[tuple[Fraction, tuple[OneToralFactor, ...]], ...]
+    n: int
+
+    @property
+    def depths(self) -> tuple[Fraction, ...]:
+        return tuple(depth for depth, _ in self.groups)
+
+    @property
+    def d(self) -> int:
+        return len(self.groups)
+
+    def __post_init__(self):
+        ds = self.depths
+        if not ds:
+            raise ValueError("empty chain")
+        if any(a >= b for a, b in zip(ds, ds[1:])):
+            raise ValueError("depths must be strictly increasing across groups")
+        if ds[-1] >= ds[0] + 1:
+            raise ValueError("depth window exceeds one unit")
+
+
+def assemble_one_toral(factors: Sequence[OneToralFactor]) -> OneToralDatum:
+    """Group factors by depth into the increasing chain, one window check."""
+    if not factors:
+        raise ValueError("no factors")
+    windows = set()
+    for fac in factors:
+        r = Fraction(fac.depth)
+        if r <= 0:
+            raise ValueError("depths must be positive")
+        windows.add(r.__ceil__() - 1)
+    if len(windows) != 1:
+        raise ValueError("depths not all within a common unit half-open window")
+    by_depth: dict[Fraction, list[OneToralFactor]] = {}
+    for fac in factors:
+        by_depth.setdefault(Fraction(fac.depth), []).append(fac)
+    groups = tuple((depth, tuple(by_depth[depth])) for depth in sorted(by_depth))
+    return OneToralDatum(groups, windows.pop())
+
+
+def twist_one_toral(d: OneToralDatum, i: int, m: int, e_F: int = 1) -> OneToralDatum:
+    """`twist_datum` on every factor; the window inequality couples the
+    chain extremes, r0 - v(i) > r_d / 2, not the factors."""
+    first = d.groups[0][1][0].datum
+    if first is None:
+        raise ValueError("cannot twist a factor without coordinates")
+    p0 = first.p
+    if not 0 < i < p0**m:
+        raise ValueError("i must satisfy 0 < i < p^m")
+    v0 = Fraction(kernel.vp(i, p0) * e_F)
+    if not d.depths[0] - v0 > d.depths[-1] / 2:
+        raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
+    twisted = []
+    for _, facs in d.groups:
+        for fac in facs:
+            if fac.datum is None:
+                raise ValueError("cannot twist a factor without coordinates")
+            td = twist_datum(fac.datum, i, m, e_F)
+            twisted.append(OneToralFactor(fac.label, td.depth, td))
+    return assemble_one_toral(twisted)
+
 
 
 def test_restriction_depth_identity_and_windows():
@@ -550,7 +711,7 @@ def test_twist_one_toral():
             OneToralFactor("f2", d2.depth, d2),
         ]
     )
-    twisted = twist_datum(one, 11, 2)
+    twisted = twist_one_toral(one, 11, 2)
     assert chain_genericity_ok(twisted)
     assert all(depth == Fraction(3) for depth in twisted.depths)
 
@@ -570,8 +731,8 @@ def test_twist_one_toral_chain_inequality_uses_extremes():
         ]
     )
     with pytest.raises(ValueError):
-        twist_datum(one, 13**2, 3)
-    twisted = twist_datum(one, 13, 3)  # v = 1 stays inside the bound
+        twist_one_toral(one, 13**2, 3)
+    twisted = twist_one_toral(one, 13, 3)  # v = 1 stays inside the bound
     assert chain_genericity_ok(twisted)
     assert twisted.depths == (Fraction(7, 2), Fraction(4))
 
