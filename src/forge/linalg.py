@@ -1,14 +1,13 @@
-"""Exact linear algebra over Z, Q and Z/p^K.
+"""Exact linear algebra over Z and Z/p^K.
 
 Matrices are tuples of tuples of Python ints (rows).  Everything here is
 small (rank <= 8 lattices, module ranks below ~50), so clarity wins over
-asymptotics: Bareiss for determinants, Faddeev-LeVerrier for characteristic
-polynomials, unit-pivot elimination for solving over Z/p^K.
+asymptotics: Bareiss for determinants, unit-pivot elimination for solving
+over Z/p^K.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import kernel
@@ -79,31 +78,6 @@ def det(a: Matrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def charpoly(a: Matrix) -> tuple[int, ...]:
-    """Coefficients of det(x*I - A), highest degree first, exact.
-
-    Faddeev-LeVerrier; intermediate values are rationals, the result is
-    integral for integer input.
-    """
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = tuple(tuple(Fraction(x) for x in row) for row in identity(n))
-    af = tuple(tuple(Fraction(x) for x in row) for row in a)
-    for k in range(1, n + 1):
-        am = mat_mul(af, m)  # type: ignore[arg-type]
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        m = tuple(
-            tuple(am[i][j] + (c if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return tuple(out)
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

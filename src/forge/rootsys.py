@@ -10,13 +10,11 @@ checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
-from .cyclotomic import cyclotomic_poly
 from .finitegroups import closure
 from .linalg import Matrix, Vector
 
@@ -65,11 +63,6 @@ def coxeter_number(t: RootSystemType) -> int:
     if t.family == "E":
         return {6: 12, 7: 18, 8: 30}[s]
     return 12 if t.family == "F" else 6
-
-
-def coxeter_number_product(types: Iterable[RootSystemType]) -> int:
-    """Coxeter number of a product of irreducible factors; 1 for a torus."""
-    return max((coxeter_number(t) for t in types), default=1)
 
 
 def cartan_matrix(t: RootSystemType) -> Matrix:
@@ -145,7 +138,6 @@ class RootSystem:
             reflection_matrix(self.cartan, i) for i in range(self.rank)
         )
         self.coroots = self._closure()
-        self._coroot_set = {c.expansion for c in self.coroots}
 
     def _closure(self) -> tuple[Coroot, ...]:
         seen: dict = {}
@@ -160,14 +152,6 @@ class RootSystem:
     @property
     def positive_coroots(self) -> tuple[Coroot, ...]:
         return tuple(c for c in self.coroots if c.height > 0)
-
-    def contains(self, v: Vector) -> bool:
-        return tuple(v) in self._coroot_set
-
-    def highest_coroot(self) -> Coroot:
-        top = max(self.positive_coroots, key=lambda c: c.height)
-        assert sum(1 for c in self.positive_coroots if c.height == top.height) == 1
-        return top
 
     def pairing(self, i: int, coroot: Coroot) -> int:
         """<alpha_i, coroot> for the 0-based simple root index i."""
@@ -189,14 +173,6 @@ class WeylElement:
     def power(self, e: int) -> "WeylElement":
         return WeylElement(linalg.mat_pow(self.matrix, e))
 
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-
-def weyl_identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(linalg.identity(rs.rank))
-
 
 def weyl_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     """Product of simple reflections; the rightmost letter acts first.
@@ -214,52 +190,10 @@ def weyl_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     return WeylElement(linalg.mat_freeze(rows))
 
 
-def weyl_apply(w: WeylElement, coroot: Coroot) -> Coroot:
-    if len(w.matrix) != len(coroot.expansion):
-        raise ValueError("dimension mismatch")
-    return Coroot(linalg.mat_vec(w.matrix, coroot.expansion))
-
-
-def weyl_order(w: WeylElement, bound: int = 10000) -> int:
-    ident = linalg.identity(len(w.matrix))
-    m = w.matrix
-    for k in range(1, bound + 1):
-        if m == ident:
-            return k
-        m = linalg.mat_mul(m, w.matrix)
-    raise ValueError(f"order exceeds bound {bound}; not a finite-order lattice element")
-
-
 def is_elliptic(w: WeylElement) -> bool:
     """True iff w has no nonzero fixed vector on the coroot span."""
     m = linalg.mat_sub(w.matrix, linalg.identity(len(w.matrix)))
     return linalg.det(m) != 0
-
-
-def cyclotomic_exponents(w: WeylElement, order: int) -> tuple[int, ...]:
-    """Exponents k (with multiplicity) such that zeta_order^k is an eigenvalue.
-
-    Exact: the characteristic polynomial is factored against the cyclotomic
-    polynomials Phi_d for d | order, which must exhaust it.
-    """
-    if linalg.mat_pow(w.matrix, order) != linalg.identity(len(w.matrix)):
-        raise ValueError("w^order is not the identity")
-    poly = list(linalg.charpoly(w.matrix))
-    exponents: list[int] = []
-    for d in range(1, order + 1):
-        if order % d:
-            continue
-        phi = list(cyclotomic_poly(d))
-        while len(poly) >= len(phi):
-            q, r = linalg.poly_divmod(poly, phi)
-            if any(r):
-                break
-            poly = q
-            exponents.extend(
-                (order // d) * j % order for j in range(d) if math.gcd(j, d) == 1
-            )
-    assert len(poly) == 1, "characteristic polynomial not a product of cyclotomics"
-    return tuple(sorted(exponents))
 
 
 @lru_cache(maxsize=None)

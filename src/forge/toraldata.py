@@ -500,8 +500,10 @@ def build_generic_element(
     """Construct a datum for the requested form, in the case `lattice_case`
     gives; for E6, q = 1 mod 3 selects the ramified variant."""
     q = p if q is None else q
-    pp, f = kernel.prime_power(q)
-    if pp != p:
+    if not kernel.is_prime(p):
+        raise ValueError(f"p must be a prime, got p = {p}")
+    f = kernel.vp(q, p) if q else 0
+    if f < 1 or p**f != q:
         raise ValueError("q must be a power of p")
     cox = coxeter_number(rs_type)
     if p <= cox:

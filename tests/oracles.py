@@ -1,0 +1,158 @@
+"""Test-side copies of API that forge itself does not call.
+
+Weyl-element helpers (orders, images of coroots, eigenvalue exponents, the
+highest coroot, the Coxeter number of a product) and the transform-support
+check on an arbitrary functional with its full enumeration.  The tests use
+them as oracles and to state acceptance criteria 02, 05 and 11.
+"""
+
+import math
+from fractions import Fraction
+from typing import Optional
+
+from forge import linalg
+from forge.cuspcheck import EllipticSeed, TruncatedMatrix, vp
+from forge.cyclotomic import CycloInt, cyclotomic_poly
+from forge.rootsys import Coroot, RootSystem, WeylElement, coxeter_number
+
+# ---------------------------------------------------------------------------
+# root systems and Weyl elements
+# ---------------------------------------------------------------------------
+
+
+def coxeter_number_product(types) -> int:
+    """Coxeter number of a product of irreducible factors; 1 for a torus."""
+    return max((coxeter_number(t) for t in types), default=1)
+
+
+def highest_coroot(rs: RootSystem) -> Coroot:
+    top = max(rs.positive_coroots, key=lambda c: c.height)
+    assert sum(1 for c in rs.positive_coroots if c.height == top.height) == 1
+    return top
+
+
+def weyl_identity(rs: RootSystem) -> WeylElement:
+    return WeylElement(linalg.identity(rs.rank))
+
+
+def weyl_apply(w: WeylElement, coroot: Coroot) -> Coroot:
+    if len(w.matrix) != len(coroot.expansion):
+        raise ValueError("dimension mismatch")
+    return Coroot(linalg.mat_vec(w.matrix, coroot.expansion))
+
+
+def weyl_order(w: WeylElement, bound: int = 10000) -> int:
+    ident = linalg.identity(len(w.matrix))
+    m = w.matrix
+    for k in range(1, bound + 1):
+        if m == ident:
+            return k
+        m = linalg.mat_mul(m, w.matrix)
+    raise ValueError(f"order exceeds bound {bound}; not a finite-order lattice element")
+
+
+def charpoly(a) -> tuple[int, ...]:
+    """Coefficients of det(x*I - A), highest degree first, exact.
+
+    Faddeev-LeVerrier; intermediate values are rationals, the result is
+    integral for integer input.
+    """
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = tuple(tuple(Fraction(x) for x in row) for row in linalg.identity(n))
+    af = tuple(tuple(Fraction(x) for x in row) for row in a)
+    for k in range(1, n + 1):
+        am = linalg.mat_mul(af, m)
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        m = tuple(
+            tuple(am[i][j] + (c if i == j else 0) for j in range(n))
+            for i in range(n)
+        )
+    out = []
+    for c in coeffs:
+        assert c.denominator == 1
+        out.append(int(c))
+    return tuple(out)
+
+
+def cyclotomic_exponents(w: WeylElement, order: int) -> tuple[int, ...]:
+    """Exponents k (with multiplicity) such that zeta_order^k is an eigenvalue.
+
+    Exact: the characteristic polynomial is factored against the cyclotomic
+    polynomials Phi_d for d | order, which must exhaust it.
+    """
+    if linalg.mat_pow(w.matrix, order) != linalg.identity(len(w.matrix)):
+        raise ValueError("w^order is not the identity")
+    poly = list(charpoly(w.matrix))
+    exponents: list[int] = []
+    for d in range(1, order + 1):
+        if order % d:
+            continue
+        phi = list(cyclotomic_poly(d))
+        while len(poly) >= len(phi):
+            q, r = linalg.poly_divmod(poly, phi)
+            if any(r):
+                break
+            poly = q
+            exponents.extend(
+                (order // d) * j % order for j in range(d) if math.gcd(j, d) == 1
+            )
+    assert len(poly) == 1, "characteristic polynomial not a product of cyclotomics"
+    return tuple(sorted(exponents))
+
+
+# ---------------------------------------------------------------------------
+# transform support of an arbitrary functional
+# ---------------------------------------------------------------------------
+
+
+def fourier_indicator(
+    seed: EllipticSeed,
+    m: int,
+    x: int,
+    K: Optional[int] = None,
+    y_shift: Optional[TruncatedMatrix] = None,
+    validate_by_enumeration: bool = False,
+) -> dict:
+    """`fourier_support_check` for the functional y_shift + x*Y_m.
+
+    Without `y_shift` the functional is -x*Y_m + x*Y_m, the one the program
+    checks.  With `validate_by_enumeration` the full character sum over
+    (Z/p^K)^3 is evaluated in exact cyclotomic form (tiny p, K only): the
+    full count when the functional pairs integrally, zero otherwise.
+    """
+    p = seed.p
+    K = seed.K if K is None else K
+    if K < m + 1:
+        raise ValueError("precision must satisfy K >= m + 1")
+    if x % p**m == 0:
+        raise ValueError("x must lie outside P^m")
+    y = y_shift if y_shift is not None else seed.y_functional(m).scale_by_int(-x)
+    shifted = y.add(seed.y_functional(m).scale_by_int(x))
+    pairings = [shifted.pair(b) for b in seed.lattice_basis]
+    integral = all(vp(v.numerator, p) >= vp(v.denominator, p) for v in pairings)
+    out = {
+        "pairings": [str(v) for v in pairings],
+        "integral": bool(integral),
+        "indicator": 1 if integral else 0,
+    }
+    if validate_by_enumeration:
+        tmax = max(0, max(vp(v.denominator, p) for v in pairings))
+        total = CycloInt(p, max(tmax, 1))
+        scale = p ** max(tmax, 1)
+        for a in range(p**K):
+            for b in range(p**K):
+                for c in range(p**K):
+                    val = (pairings[0] * a + pairings[1] * b + pairings[2] * c) * scale
+                    assert val.denominator == 1, "pairing pole exceeds the tracked order"
+                    total.add_root(int(val) % scale)
+        full = p ** (3 * K)
+        canonical = total.canonical()
+        if integral:
+            ok = canonical[0] == full and not any(canonical[1:])
+        else:
+            ok = not any(canonical)
+        out["enumeration"] = {"count": full, "sum_canonical": list(canonical), "ok": bool(ok)}
+        out["indicator_validated"] = bool(ok)
+    return out

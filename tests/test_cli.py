@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, file round trips, determinism."""
 
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -328,3 +330,18 @@ def test_import_leaves_sympy_unloaded():
     code = "import sys, forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
     out = subprocess.run([sys.executable, "-c", code], env=_forge_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_traced_names_resolve():
+    """The benchmark's tracer wraps forge functions by module and qualified
+    name and fails on a missing one; every name it lists must resolve, so a
+    function it counts (`log_truncated`, say) stays importable even with no
+    caller in forge."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+    names = tracing["SPANNED"] + tracing["COUNTED"] + (tracing["CANDIDATES"],)
+    assert len(names) > 40
+    for _, module, qualname in names:
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, qualname)

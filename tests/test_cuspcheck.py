@@ -1,13 +1,16 @@
 """Truncated p-adic certificates: seed, exp/log, character, cusp sums.
 
-Oracles: quadratic-residue tables, exact rational series identities, and
-full unipotent-window enumeration for one small instance.
+Oracles: quadratic-residue tables, exact rational series identities, the
+logarithm for the character's values, unipotent-window enumeration (the
+full period for one small instance, the solved coset for four settings)
+and the full transform-support character sum for tiny p, K.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forge.cyclotomic import CycloInt
 from forge.cuspcheck import (
@@ -31,6 +34,10 @@ from forge.cuspcheck import (
     x_class_representatives,
 )
 from forge.linalg import mat_mod, mat_scale
+from oracles import fourier_indicator
+
+# the (p, n, m, K) at which the character and window identities are checked
+IDENTITY_SETTINGS = [(5, 4, 2, 8), (5, 3, 1, 8), (7, 4, 2, 9), (5, 5, 3, 10)]
 
 # ---------------------------------------------------------------------------
 # cyclotomic canonical forms
@@ -90,17 +97,23 @@ def test_elliptic_seed_p7_and_guards():
         elliptic_seed(5, 2)
 
 
+def truncated_mul(a: TruncatedMatrix, b: TruncatedMatrix) -> TruncatedMatrix:
+    assert a.p == b.p
+    k = min(a.K, b.K)
+    return TruncatedMatrix(a.p, k, a.offset + b.offset, mat_mul(a.entries, b.entries, a.p**k))
+
+
 def test_truncated_matrix_offset_bookkeeping():
     a = TruncatedMatrix(5, 6, 1, ((0, 2), (1, 0)))
     b = TruncatedMatrix(5, 6, 0, IDENT)
     s = a.add(b)
     assert s.offset == 1
     assert s.entries == ((5, 2), (1, 5))
-    prod = a.mul(a)
+    prod = truncated_mul(a, a)
     assert prod.offset == 2
     assert prod.entries == ((2, 0), (0, 2))
     # offset -1 makes p^1 * IDENT = p: multiplying by it lowers the offset by one
-    scaled = a.mul(TruncatedMatrix(5, 6, -1, IDENT))
+    scaled = truncated_mul(a, TruncatedMatrix(5, 6, -1, IDENT))
     assert (scaled.offset, scaled.entries) == (0, a.entries)
 
 
@@ -194,11 +207,29 @@ def test_lambda_identity_and_surjectivity():
 
 def test_lambda_homomorphism_p5_n4_m2():
     seed = elliptic_seed(5, 8)
-    char = lambda_character(seed, 4, 2, pairs=100)
+    char = lambda_character(seed, 4, 2)
     rng = random.Random(5)
-    for _ in range(25):
+    for _ in range(125):
         a, b = char.random_element(rng), char.random_element(rng)
         assert char.value(mat_mul(a, b, 5**8)) == (char.value(a) + char.value(b)) % 25
+
+
+@pytest.mark.parametrize("p, n, m, K", IDENTITY_SETTINGS)
+@given(st.data())
+def test_value_is_the_log_pairing_and_additive(p, n, m, K, data):
+    # value(g) reads g - 1; the logarithm is the oracle, on K_n = exp(p^n L_0)
+    char = lambda_character(elliptic_seed(p, K), n, m)
+    coords = st.tuples(*[st.integers(0, p ** (K - n) - 1)] * 3)
+
+    def element():
+        a, b, c = data.draw(coords)
+        return exp_truncated(mat_scale(p**n, ((a, b), (c, -a))), p, K)
+
+    g, h = element(), element()
+    gh = mat_mul(g, h, p**K)
+    for x in (g, h, gh):
+        assert char.value(x) == char.value_of_algebra(log_truncated(x, p, K))
+    assert char.value(gh) == (char.value(g) + char.value(h)) % p**m
 
 
 def test_lambda_threshold_and_precision_guards():
@@ -336,6 +367,41 @@ def test_support_profiles_match_the_full_period_scan():
     assert {("upper", "u7"), ("lower", "l7"), ("lower", "l7.k")} <= supported
 
 
+@pytest.mark.parametrize("p, n, m, K", IDENTITY_SETTINGS)
+def test_support_profiles_match_the_coset_enumeration(p, n, m, K):
+    # every residue t mod p^n is tested for membership (which depends on t
+    # mod p^n only), and each supported coset is enumerated with values
+    # through the logarithm
+    char = lambda_character(elliptic_seed(p, K), n, m)
+    samples = default_samples(char, 10) + [("u7", ((1, 7), (0, 1))), ("l7", ((1, 0), (7, 1)))]
+    profiles = unipotent_support_profiles(char, samples)
+    pairs = [(par, sample) for par in ("upper", "lower") for sample in samples]
+    assert len(profiles) == len(pairs)
+    for prof, (parabolic, (name, g)) in zip(profiles, pairs):
+        u = (lambda t: ((1, t), (0, 1))) if parabolic == "upper" else (lambda t: ((1, 0), (t, 1)))
+        hist = [0] * p**m
+        for t0 in range(p**n):
+            if char.contains(mat_mul(g, u(t0), p**K)):
+                for s in range(p**m):
+                    gu = mat_mul(g, u(t0 + s * p**n), p**K)
+                    assert char.contains(gu)
+                    hist[char.value_of_algebra(log_truncated(gu, p, K))] += 1
+        assert (prof["parabolic"], prof["sample"]) == (parabolic, name)
+        assert (prof["support_points_mod_period"], prof["histogram"]) == (sum(hist), hist), name
+    assert any(prof["support_points_mod_period"] for prof in profiles)
+
+
+def test_cusp_check_reduces_one_canonical_form_per_histogram(monkeypatch):
+    char = lambda_character(elliptic_seed(5, 8), 4, 2)
+    profiles = unipotent_support_profiles(char, default_samples(char, 20))
+    calls = []
+    canonical = CycloInt.canonical
+    monkeypatch.setattr(CycloInt, "canonical", lambda self: calls.append(1) or canonical(self))
+    out = cusp_integral_check(char, 3, profiles=profiles)
+    assert out["passed"] and len(out["rows"]) == 40
+    assert len(calls) == len({tuple(prof["histogram"]) for prof in profiles}) == 2
+
+
 def test_cusp_sum_empty_support_samples():
     p, n, m, K = 5, 3, 1, 8
     char = lambda_character(elliptic_seed(p, K), n, m)
@@ -382,31 +448,39 @@ def test_fourier_indicator_at_center():
     assert out["integral"] and out["indicator"] == 1
 
 
+def test_fourier_row_pairs_the_zero_functional():
+    # the program's row pairs -x*Y_m + x*Y_m: zero for every (p, m, x)
+    for p, K, m, x in ((5, 8, 2, 1), (5, 8, 2, 7), (3, 3, 1, 1), (7, 9, 2, 3), (5, 8, 1, 4)):
+        out = fourier_support_check(elliptic_seed(p, K), m, x)
+        assert out == {"pairings": ["0", "0", "0"], "integral": True, "indicator": 1}
+        assert out == fourier_indicator(elliptic_seed(p, K), m, x)
+
+
 def test_fourier_indicator_with_integral_shift():
     seed = elliptic_seed(5, 8)
     y = seed.y_functional(2).scale_by_int(-3)
     shift = TruncatedMatrix(5, 8, 0, ((2, 1), (4, -2)))
-    out = fourier_support_check(seed, 2, 3, y_shift=y.add(shift))
+    out = fourier_indicator(seed, 2, 3, y_shift=y.add(shift))
     assert out["indicator"] == 1
 
 
 def test_fourier_vanishing_for_pole():
     seed = elliptic_seed(5, 8)
     y = TruncatedMatrix(5, 8, 1, ((0, 1), (0, 0)))  # pairing valuation -1
-    out = fourier_support_check(seed, 1, 1, y_shift=y.add(seed.y_functional(1).scale_by_int(-1)))
+    out = fourier_indicator(seed, 1, 1, y_shift=y.add(seed.y_functional(1).scale_by_int(-1)))
     assert out["indicator"] == 0
 
 
 def test_fourier_enumeration_validation_p3():
     seed = elliptic_seed(3, 3)
-    out = fourier_support_check(seed, 1, 1, K=2, validate_by_enumeration=True)
+    out = fourier_indicator(seed, 1, 1, K=2, validate_by_enumeration=True)
     assert out["indicator"] == 1
     assert out["indicator_validated"]
     assert out["enumeration"]["count"] == 3**6
     # and a genuinely non-integral shift sums to zero
     y = TruncatedMatrix(3, 3, 1, ((0, 1), (0, 0)))
     shifted = y.add(seed.y_functional(1).scale_by_int(-1))
-    out = fourier_support_check(
+    out = fourier_indicator(
         seed, 1, 1, K=2, y_shift=shifted, validate_by_enumeration=True
     )
     assert out["indicator"] == 0

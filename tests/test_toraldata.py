@@ -270,7 +270,8 @@ def test_e6_ramified_positive_values_and_cube_criterion():
 
 
 def test_e6_builder_drives_lattice_claims():
-    from forge.rootsys import is_elliptic, weyl_order
+    from forge.rootsys import is_elliptic
+    from oracles import weyl_order
 
     for q, ram in ((13, True), (17, False)):
         d = build_generic_element(T("E6"), None, q, q, 1, ramified=ram)
@@ -486,6 +487,24 @@ def test_residue_field_is_checked_before_it_is_built(monkeypatch, field, value, 
     monkeypatch.setattr("forge.toraldata.build_extension", refuse)
     with pytest.raises(ValueError, match=match):
         datum_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "p, q, match",
+    [(5, 10**3000, "q must be a power of p"), (5, 10, "q must be a power of p"),
+     (5, 7**4, "q must be a power of p"), (5, 1, "q must be a power of p"),
+     (5, -25, "q must be a power of p"), (9, 81, "p must be a prime"),
+     (3317044064679887385962123, 3317044064679887385962123, "3317044064679887385961981")],
+    ids=["10^3000", "10", "7^4", "1", "-25", "p9", "p-above-mr-bound"],
+)
+def test_q_is_checked_against_the_known_p(monkeypatch, p, q, match):
+    def refuse(*args):
+        raise AssertionError(f"prime_power{args} called although p is known")
+
+    monkeypatch.setattr("forge.toraldata.kernel.prime_power", refuse)
+    with pytest.raises(ValueError, match=match):
+        build_generic_element(T("A2"), None, p, q, 1)
+    assert build_generic_element(T("A2"), None, 5, 25, 1).q == 25
 
 
 def test_residue_degree_of_every_builder_datum():
