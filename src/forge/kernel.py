@@ -334,10 +334,14 @@ def smallest_irreducible(field, n: int) -> tuple:
     """The smallest monic irreducible of degree n over `field`.
 
     Candidates run in encoding order: the i-th coefficient is the i-th
-    base-q digit of the candidate's index.
+    base-q digit of the candidate's index, so the first q are the x^n + c.
+    For n >= 2 none is irreducible when a prime l | n has l not dividing
+    q - 1, or when 4 | n and q != 1 mod 4 (Lidl-Niederreiter, Finite
+    Fields, Thm 3.75), and the walk starts at q.
     """
     q = field.size
-    for enc in range(q**n):
+    skip = n >= 2 and (any((q - 1) % ell for ell in prime_factors(n)) or (n % 4 == 0 and q % 4 != 1))
+    for enc in range(q if skip else 0, q**n):
         digits = []
         for _ in range(n):
             digits.append(field.from_int(enc % q))

@@ -3,19 +3,18 @@
 Coroots live in the simple-coroot basis itself (ambient lattice Z^rank), so
 every operation below is integer arithmetic.  A Weyl element is an integer
 matrix acting on that lattice; words multiply as function composition, the
-rightmost letter acting first.  Reflection closure enumerates the full
-coroot set and is the ground truth for counts, positivity and closure
-checks.
+rightmost letter acting first.  The positive coroots come in height order
+from the simple ones by the root-string rule (Humphreys, GTM 9, 10.2), each
+one step above a recorded parent; the negative ones are their negatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import linalg
-from .finitegroups import closure
 from .linalg import Matrix, Vector
 
 FAMILIES = "ABCDEFG"
@@ -100,15 +99,6 @@ def cartan_matrix(t: RootSystemType) -> Matrix:
     return linalg.mat_freeze(c)
 
 
-def reflection_matrix(cartan: Matrix, i: int) -> Matrix:
-    """Simple reflection s_i on the coroot lattice (0-based index)."""
-    n = len(cartan)
-    rows = [list(r) for r in linalg.identity(n)]
-    for j in range(n):
-        rows[i][j] -= cartan[i][j]
-    return linalg.mat_freeze(rows)
-
-
 @dataclass(frozen=True)
 class Coroot:
     """A coroot as its expansion in the simple-coroot basis."""
@@ -119,43 +109,49 @@ class Coroot:
     def height(self) -> int:
         return sum(self.expansion)
 
-    def __neg__(self) -> "Coroot":
-        return Coroot(tuple(-x for x in self.expansion))
-
 
 class RootSystem:
-    """An irreducible root system with its full coroot set."""
+    """An irreducible root system with its full coroot set.
+
+    `by_height` lists the positive coroots in height order as triples
+    (coroot, parent, j): the coroot is by_height[parent] + alpha_j^vee, or
+    alpha_j^vee when parent is None.  `coroots` is sorted: negative coroots
+    sort below positive ones and negation reverses the order."""
 
     def __init__(self, rs_type: RootSystemType):
         self.type = rs_type
         self.rank = rs_type.rank
         self.cartan = cartan_matrix(rs_type)
-        self.simple_coroots = tuple(
-            Coroot(tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank)
-        )
-        self.reflections = tuple(
-            reflection_matrix(self.cartan, i) for i in range(self.rank)
-        )
-        self.coroots = self._closure()
+        self.simple_coroots = tuple(Coroot(e) for e in linalg.identity(self.rank))
+        self.by_height = self._by_height()
+        self.positive_coroots = tuple(sorted((c for c, _, _ in self.by_height), key=lambda c: c.expansion))
+        negative = tuple(Coroot(tuple(-x for x in c.expansion)) for c in reversed(self.positive_coroots))
+        self.coroots = negative + self.positive_coroots
 
-    def _closure(self) -> tuple[Coroot, ...]:
-        seen: dict = {}
-        for c in self.simple_coroots:
-            if c.expansion not in seen:
-                orbit, _ = closure(
-                    c.expansion, self.reflections, lambda v, refl: linalg.mat_vec(refl, v)
-                )
-                seen.update(orbit)
-        return tuple(Coroot(v) for v in sorted(seen))
+    def _by_height(self) -> tuple[tuple[Coroot, Optional[int], int], ...]:
+        """Root-string rule: for a positive coroot beta, beta + alpha_j^vee is
+        a coroot iff r - <alpha_j, beta> > 0, where r is the length of the
+        alpha_j^vee-string below beta.  A positive coroot of height h > 1 is
+        one of height h - 1 plus a simple coroot, and the queue runs height
+        by height, so that string is complete when beta is reached."""
+        table = [(c, None, j) for j, c in enumerate(self.simple_coroots)]
+        seen = {c.expansion for c in self.simple_coroots}
+        for k, (beta, _, _) in enumerate(table):  # grows while it runs
+            b = beta.expansion
+            for j in range(self.rank):
+                r = 0
+                while b[:j] + (b[j] - r - 1,) + b[j + 1 :] in seen:
+                    r += 1
+                up = b[:j] + (b[j] + 1,) + b[j + 1 :]
+                if r > self.pairing(j, b) and up not in seen:
+                    seen.add(up)
+                    table.append((Coroot(up), k, j))
+        return tuple(table)
 
-    @property
-    def positive_coroots(self) -> tuple[Coroot, ...]:
-        return tuple(c for c in self.coroots if c.height > 0)
-
-    def pairing(self, i: int, coroot: Coroot) -> int:
-        """<alpha_i, coroot> for the 0-based simple root index i."""
-        return sum(self.cartan[i][j] * coroot.expansion[j] for j in range(self.rank))
+    def pairing(self, i: int, v: Vector) -> int:
+        """<alpha_i, v> for the 0-based simple root index i and a vector v
+        in the simple-coroot basis."""
+        return sum(c * x for c, x in zip(self.cartan[i], v))
 
 
 @lru_cache(maxsize=None)
@@ -166,9 +162,6 @@ def build_root_system(rs_type: RootSystemType) -> RootSystem:
 @dataclass(frozen=True)
 class WeylElement:
     matrix: Matrix
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(linalg.mat_mul(self.matrix, other.matrix))
 
     def power(self, e: int) -> "WeylElement":
         return WeylElement(linalg.mat_pow(self.matrix, e))
@@ -200,15 +193,13 @@ def is_elliptic(w: WeylElement) -> bool:
 def longest_element(rs: RootSystem) -> WeylElement:
     """The longest element w_0, by greedy descent on a dominant vector;
     cached per root system, which `build_root_system` makes once per type."""
-    lam = [0] * rs.rank
-    for c in rs.positive_coroots:
-        for j in range(rs.rank):
-            lam[j] += c.expansion[j]
+    lam = [sum(col) for col in zip(*(c.expansion for c in rs.positive_coroots))]
     word: list[int] = []
     while True:
         for i in range(rs.rank):
-            if sum(rs.cartan[i][j] * lam[j] for j in range(rs.rank)) > 0:
-                lam = list(linalg.mat_vec(rs.reflections[i], tuple(lam)))
+            pair = rs.pairing(i, lam)
+            if pair > 0:
+                lam[i] -= pair  # s_i changes only coordinate i
                 word.append(i + 1)
                 break
         else:

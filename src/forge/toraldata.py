@@ -375,11 +375,10 @@ def verify_galois_descent(d: ZeroToralDatum) -> GenericityReport:
     rows = []
     notes = []
     for label, m, c_eff, frob_k in d.descent_equations():
-        cols = [linalg.mat_vec(m, c.expansion) for c in d.rs.simple_coroots]
-        for i in range(d.rs.rank):
+        for i, col in enumerate(zip(*m)):
             lhs = res_field.mul(c_eff, res_field.frobenius(d.coords[i], frob_k))
             rhs = res_field.zero()
-            for j, mu in enumerate(cols[i]):
+            for j, mu in enumerate(col):
                 if mu:
                     rhs = res_field.add(rhs, res_field.smul(mu, d.coords[j]))
             rows.append(
@@ -402,17 +401,21 @@ def verify_galois_descent(d: ZeroToralDatum) -> GenericityReport:
 def verify_genericity(d: ZeroToralDatum) -> GenericityReport:
     """Evaluate the functional on every coroot: the row is the residue sum
     sum_i lambda_i a_i, and genericity asks it to be nonzero.  Every
-    coefficient lambda_i is below h < p, so no term vanishes mod p."""
-    res = d.ext.residue
-    rows = []
-    for coroot in d.rs.coroots:
-        total = res.zero()
-        for lam, a in zip(coroot.expansion, d.coords):
-            if lam:
-                total = res.add(total, res.smul(lam, a))
-        rows.append(
-            CorootRow(coroot.expansion, res.element_to_json(total), not res.is_zero(total))
-        )
+    coefficient lambda_i is below h < p, so no term vanishes mod p.
+
+    The row is linear in the coroot's coordinates lambda, so the row of
+    beta + alpha_j^vee is the row of beta plus a_j and the row of -beta is
+    minus the row of beta: each positive row is one `add` onto its parent's
+    in `by_height`, each negative row one `neg`."""
+    res, rs = d.ext.residue, d.rs
+    value = []
+    for _, parent, j in rs.by_height:
+        value.append(d.coords[j] if parent is None else res.add(value[parent], d.coords[j]))
+    positive = [v for _, v in sorted(zip([c.expansion for c, _, _ in rs.by_height], value))]
+    rows = [
+        CorootRow(c.expansion, res.element_to_json(v), not res.is_zero(v))
+        for c, v in zip(rs.coroots, [res.neg(v) for v in reversed(positive)] + positive)
+    ]
     return GenericityReport(tuple(rows), ())
 
 

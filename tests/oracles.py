@@ -1,23 +1,49 @@
 """Test-side copies of API that forge itself does not call.
 
 Weyl-element helpers (orders, images of coroots, eigenvalue exponents, the
-highest coroot, the Coxeter number of a product) and the transform-support
-check on an arbitrary functional with its full enumeration.  The tests use
-them as oracles and to state acceptance criteria 02, 05 and 11.
+highest coroot, the Coxeter number of a product), the coroot set as a
+reflection closure, genericity rows as direct sums, the modulus search
+without its binomial skip, and the transform-support check on an arbitrary
+functional with its full enumeration.  The tests use them as oracles and to
+state acceptance criteria 02, 05 and 11.
 """
 
 import math
 from fractions import Fraction
 from typing import Optional
 
-from forge import linalg
+from forge import kernel, linalg
 from forge.cuspcheck import EllipticSeed, TruncatedMatrix, vp
 from forge.cyclotomic import CycloInt, cyclotomic_poly
+from forge.finitegroups import closure
+from forge.linalg import Matrix
 from forge.rootsys import Coroot, RootSystem, WeylElement, coxeter_number
+from forge.toraldata import CorootRow, GenericityReport, ZeroToralDatum
 
 # ---------------------------------------------------------------------------
 # root systems and Weyl elements
 # ---------------------------------------------------------------------------
+
+
+def reflection_matrix(cartan: Matrix, i: int) -> Matrix:
+    """Simple reflection s_i on the coroot lattice (0-based index)."""
+    n = len(cartan)
+    rows = [list(r) for r in linalg.identity(n)]
+    for j in range(n):
+        rows[i][j] -= cartan[i][j]
+    return linalg.mat_freeze(rows)
+
+
+def closure_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The coroot expansions, sorted, as the closure of the simple coroots
+    under the simple reflection matrices."""
+    reflections = [reflection_matrix(rs.cartan, i) for i in range(rs.rank)]
+    seen: dict = {}
+    for c in rs.simple_coroots:
+        if c.expansion not in seen:
+            orbit, _ = closure(c.expansion, reflections, lambda v, refl: linalg.mat_vec(refl, v))
+            seen.update(orbit)
+    return tuple(sorted(seen))
 
 
 def coxeter_number_product(types) -> int:
@@ -100,6 +126,41 @@ def cyclotomic_exponents(w: WeylElement, order: int) -> tuple[int, ...]:
             )
     assert len(poly) == 1, "characteristic polynomial not a product of cyclotomics"
     return tuple(sorted(exponents))
+
+
+# ---------------------------------------------------------------------------
+# genericity rows and the modulus search, the direct way
+# ---------------------------------------------------------------------------
+
+
+def genericity_by_sum(d: ZeroToralDatum) -> GenericityReport:
+    """`verify_genericity` with each row the sum over the coroot's
+    coordinates of lambda_i a_i, through `smul` and `add`."""
+    res = d.ext.residue
+    rows = []
+    for coroot in d.rs.coroots:
+        total = res.zero()
+        for lam, a in zip(coroot.expansion, d.coords):
+            if lam:
+                total = res.add(total, res.smul(lam, a))
+        rows.append(
+            CorootRow(coroot.expansion, res.element_to_json(total), not res.is_zero(total))
+        )
+    return GenericityReport(tuple(rows), ())
+
+
+def smallest_irreducible_walk(field, n: int) -> tuple:
+    """`kernel.smallest_irreducible` testing every candidate from encoding 0."""
+    q = field.size
+    for enc in range(q**n):
+        digits = []
+        for _ in range(n):
+            digits.append(field.from_int(enc % q))
+            enc //= q
+        modulus = tuple(digits) + (field.one(),)
+        if kernel.is_irreducible(field, modulus):
+            return modulus
+    raise ArithmeticError(f"no monic irreducible of degree {n} over F_{q}")
 
 
 # ---------------------------------------------------------------------------

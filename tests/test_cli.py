@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import forge
-from forge import sweep
+from forge import ffield, rootsys, sweep
 from forge.cli import main
 from forge.rootsys import RootSystemType
 
@@ -128,6 +128,26 @@ def test_verify_malformed_datum_exits_two(mutate, tmp_path, capsys):
     )
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_verify_over_a_field_without_irreducible_binomials(tmp_path, capsys):
+    """The A2/p5 datum moved to q = 5^7: 3 does not divide 5^7 - 1, so no
+    x^3 + c is irreducible over F_{5^7}, and the modulus search skips all
+    5^7 of them instead of testing each (past a 20 s timeout)."""
+    datum = tmp_path / "a2.json"
+    assert main(["build", "--type", "A2", "--p", "5", "-o", str(datum)]) == 0
+    capsys.readouterr()
+    data = json.loads(datum.read_text())
+    data["q"] = 5**7
+    data["ext"]["residue"]["f"] = 7
+    assert data["ext"]["residue"]["modulus"] == [1, 1, 0, 1]  # x^3 + x + 1 here and over F_5
+    datum.write_text(json.dumps(data, sort_keys=True))
+    out = subprocess.run(
+        [sys.executable, "-m", "forge.cli", "verify", str(datum)],
+        env=_forge_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["verdict"] == "pass"
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -336,7 +356,8 @@ def test_benchmark_traced_names_resolve():
     """The benchmark's tracer wraps forge functions by module and qualified
     name and fails on a missing one; every name it lists must resolve, so a
     function it counts (`log_truncated`, say) stays importable even with no
-    caller in forge."""
+    caller in forge.  Its traced pass also reads the hit and miss counts of
+    the two constructor caches."""
     tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
     names = tracing["SPANNED"] + tracing["COUNTED"] + (tracing["CANDIDATES"],)
     assert len(names) > 40
@@ -345,3 +366,5 @@ def test_benchmark_traced_names_resolve():
         for part in qualname.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, qualname)
+    for cached in (rootsys.build_root_system, ffield.build_extension):
+        assert set(cached.cache_info()._fields) >= {"hits", "misses"}

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from forge import kernel, linalg
 from forge.ffield import PrimeField, build_extension
+from oracles import smallest_irreducible_walk
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -368,6 +369,30 @@ def test_is_irreducible_matches_pow_rabin_on_every_candidate(p, f, degrees):
             assert verdicts[-1] == _pow_rabin(field, modulus), modulus
         # Gauss: d * #(monic irreducibles of degree d) = sum over e | d of mu(e) q^(d/e)
         assert sum(verdicts) == sum(sympy.mobius(e) * q ** (deg // e) for e in sympy.divisors(deg)) // deg
+
+
+# every F_{(p^f)^n} with p <= 13, f <= 2, 2 <= n <= 6 and (p^f)^n <= 5 * 10^5
+BINOMIAL_SKIP_FIELDS = [
+    (p, f, n)
+    for p in (2, 3, 5, 7, 11, 13)
+    for f in (1, 2)
+    for n in range(2, 7)
+    if p ** (f * n) <= 5 * 10**5
+]
+
+
+def test_smallest_irreducible_skips_only_reducible_binomials():
+    """The binomial skip (Lidl-Niederreiter 3.75) changes no modulus: the
+    search returns the walk's from encoding 0 on every field of the set,
+    skipped or not."""
+    assert len(BINOMIAL_SKIP_FIELDS) == 44
+    binomials = 0
+    for p, f, n in BINOMIAL_SKIP_FIELDS:
+        field = PrimeField(p) if f == 1 else build_extension(p, 1, f)
+        modulus = kernel.smallest_irreducible(field, n)
+        assert modulus == smallest_irreducible_walk(field, n), (p, f, n)
+        binomials += not any(modulus[1:-1])
+    assert binomials == 11  # the other 33 fields have no irreducible binomial
 
 
 @pytest.mark.parametrize("p,f", [(p, f) for p in (2, 3, 5, 7, 11, 13, 17, 19) for f in (1, 2, 3)])

@@ -1,6 +1,8 @@
-"""Root-system layer: closure counts, Weyl words, eigenvalue exponents.
+"""Root-system layer: coroot counts, Weyl words, eigenvalue exponents.
 
 Oracles used here:
+  * the closure of the simple coroots under the reflection matrices, for
+    the coroot table built by height.
   * Euclidean-realization closure (Fractions) for coroot counts, independent
     of the expansion-coordinate path in the package.
   * sympy charpoly as an independent route to eigenvalue exponents.
@@ -29,9 +31,11 @@ from forge.rootsys import (
 )
 from oracles import (
     charpoly,
+    closure_coroots,
     coxeter_number_product,
     cyclotomic_exponents,
     highest_coroot,
+    reflection_matrix,
     weyl_apply,
     weyl_identity,
     weyl_order,
@@ -160,6 +164,29 @@ def test_coroot_count_small_types_match_euclidean_oracle():
         assert len(rs.coroots) == oracle_coroot_count(t), str(t)
 
 
+def test_height_table_is_the_reflection_closure():
+    """On every type of rank <= 8: `by_height` lists the closure's positive
+    coroots, each one step alpha_j^vee above its parent a level down, and
+    `coroots` is the closure's sorted set."""
+    for t in ALL_TYPES:
+        rs = build_root_system(t)
+        closure = closure_coroots(rs)
+        assert tuple(c.expansion for c in rs.coroots) == closure, str(t)
+        table = [c.expansion for c, _, _ in rs.by_height]
+        assert len(set(table)) == len(table)
+        assert set(table) == {v for v in closure if sum(v) > 0}, str(t)
+        heights = [sum(v) for v in table]
+        assert heights == sorted(heights)
+        for k, (c, parent, j) in enumerate(rs.by_height):
+            step = rs.simple_coroots[j].expansion
+            if parent is None:
+                assert c.expansion == step
+            else:
+                assert parent < k
+                assert c.expansion == tuple(x + y for x, y in zip(table[parent], step))
+                assert heights[k] == heights[parent] + 1
+
+
 def test_named_counts():
     assert len(build_root_system(RootSystemType.parse("A2")).coroots) == 6
     assert len(build_root_system(RootSystemType.parse("D5")).coroots) == 40
@@ -249,7 +276,7 @@ def test_word_is_the_product_of_reflection_matrices(t, data):
     word = data.draw(st.lists(st.integers(1, t.rank), max_size=40))
     want = linalg.identity(t.rank)
     for i in word:
-        want = linalg.mat_mul(want, rs.reflections[i - 1])
+        want = linalg.mat_mul(want, reflection_matrix(rs.cartan, i - 1))
     assert weyl_from_word(rs, word).matrix == want
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forge.rootsys import (
     DiagramAutomorphism,
@@ -37,6 +38,7 @@ from forge.toraldata import (
     verify_galois_descent,
     verify_genericity,
 )
+from oracles import genericity_by_sum
 
 T = RootSystemType.parse
 
@@ -843,6 +845,27 @@ def test_full_sweep_q_p_and_p_squared():
             digest.update(twist_datum(d, p - 1, 1).to_json().encode())
     assert twists == 744
     assert digest.hexdigest() == SWEEP_GOLDEN_SHA256
+
+
+# one datum per family, with both E6 extensions and the largest coroot set
+FAMILY_DATUMS = (
+    ("A2", 5, False), ("B3", 7, False), ("C3", 7, False), ("D5", 11, False), ("D6", 11, False),
+    ("E6", 13, True), ("E6", 17, False), ("E8", 31, False), ("F4", 13, False), ("G2", 7, False),
+)
+
+
+@given(st.sampled_from(FAMILY_DATUMS), st.data())
+def test_height_table_rows_are_the_direct_sums(family, data):
+    """Each coordinate is drawn from {0, a, -a, 2a, a_i}, a the first one, so
+    rows cancel and zero residues with `ok` false appear; the report bytes
+    equal the direct sums' either way."""
+    name, p, ramified = family
+    d = build_generic_element(T(name), None, p, p, 1, ramified=ramified)
+    res, a = d.ext.residue, d.coords[0]
+    choices = (res.zero(), a, res.neg(a), res.smul(2, a))
+    coords = tuple(data.draw(st.sampled_from(choices + (c,))) for c in d.coords)
+    d = replace(d, coords=coords)
+    assert verify_genericity(d).to_json() == genericity_by_sum(d).to_json()
 
 
 def test_sweep_negative_controls_single_zero_coordinate():
