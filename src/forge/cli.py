@@ -130,82 +130,55 @@ def cmd_sweep(args) -> int:
 def cmd_congruence(args) -> int:
     p = args.p
     results = {"p": p, "checks": [], "models": []}
-    ok = True
+
+    def check(model, kind, passed, **tags):
+        results["checks"].append({"model": model.name, **tags, "kind": kind, "passed": passed})
+
+    def space_hecke(model, **tags):  # one space+hecke check per --N
+        results["models"].append(model.to_config())
+        for N in args.N:
+            check(model, "space+hecke", verify_congruence_theorem(model, N=N).passed, N=N, **tags)
+
     if args.model_config:
         with open(args.model_config) as fh:
             model = FiniteModel.from_config(json.load(fh))
-        rep = verify_congruence_theorem(model, N=args.N[0])
-        q_ok, _ = quotient_map_check(model)
-        ok = rep.passed and q_ok
-        results["models"].append(model.to_config())
-        results["checks"].append(
-            {"model": model.name, "kind": "space+hecke", "passed": rep.passed}
-        )
-        results["checks"].append(
-            {"model": model.name, "kind": "quotient-map", "passed": q_ok}
-        )
-        results["passed"] = ok
-        _write(args.output, json.dumps(results, sort_keys=True, indent=1) + "\n")
-        print(f"model {model.name}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
-        return 0 if ok else 1
-    for m in args.m:
-        free = builtin_free_model(p, m)
-        results["models"].append(free.to_config())
-        for N in args.N:
-            rep = verify_congruence_theorem(free, N=N)
-            ok = ok and rep.passed
-            results["checks"].append(
-                {"model": free.name, "m": m, "N": N, "kind": "space+hecke", "passed": rep.passed}
+        space_hecke(model)
+        check(model, "quotient-map", quotient_map_check(model)[0])
+    else:
+        for m in args.m:
+            free = builtin_free_model(p, m)
+            space_hecke(free, m=m)
+            space = build_space(free, "am_psi")
+            dec = decompose_rational(space)
+            check(
+                free,
+                "rational-decomposition",
+                dec["rational_dimension"] == (p**m - 1) * len(space.orbit_reps),
+                m=m,
+                component_ranks={str(k): v for k, v in dec["component_ranks"].items()},
             )
-        space = build_space(free, "am_psi")
-        dec = decompose_rational(space)
-        triv_dim = len(space.orbit_reps)
-        dims_ok = dec["rational_dimension"] == (p**m - 1) * triv_dim
-        ok = ok and dims_ok
-        results["checks"].append(
-            {
-                "model": free.name,
-                "m": m,
-                "kind": "rational-decomposition",
-                "component_ranks": {str(k): v for k, v in dec["component_ranks"].items()},
-                "passed": dims_ok,
-            }
-        )
-        q_ok, _ = quotient_map_check(free)
-        ok = ok and q_ok
-        results["checks"].append(
-            {"model": free.name, "m": m, "kind": "quotient-map", "passed": q_ok}
-        )
-        if m >= 2:
-            q_bad, _ = quotient_map_check(builtin_nonfree_model(p, m))
-            ok = ok and not q_bad
-            results["checks"].append(
-                {
-                    "model": builtin_nonfree_model(p, m).name,
-                    "m": m,
-                    "kind": "quotient-map-negative",
-                    "passed": not q_bad,
-                }
-            )
-    # non-constant coefficients: action trivial mod p^2, not mod p^3
-    model = builtin_cyclic_model(p, 3)
-    matrep = MatrixRep(
-        2, 3, {1: ((1, p**2), (0, 1))}
-    )
-    for m, expect_shrink in ((2, False), (3, True)):
-        out = nonconstant_check(model, matrep, m)
-        good = out.details["shrink"] == expect_shrink and (out.passed or expect_shrink)
-        ok = ok and good
-        results["checks"].append(
-            {"model": model.name, "m": m, "kind": "nonconstant", "passed": good}
-        )
+            check(free, "quotient-map", quotient_map_check(free)[0], m=m)
+            if m >= 2:
+                nonfree = builtin_nonfree_model(p, m)
+                check(nonfree, "quotient-map-negative", not quotient_map_check(nonfree)[0], m=m)
+        # non-constant coefficients: action trivial mod p^2, not mod p^3
+        cyclic = builtin_cyclic_model(p, 3)
+        matrep = MatrixRep(2, 3, {1: ((1, p**2), (0, 1))})
+        for m, expect_shrink in ((2, False), (3, True)):
+            out = nonconstant_check(cyclic, matrep, m)
+            good = out.details["shrink"] == expect_shrink and (out.passed or expect_shrink)
+            check(cyclic, "nonconstant", good, m=m)
+    ok = all(c["passed"] for c in results["checks"])
     results["passed"] = ok
     _write(args.output, json.dumps(results, sort_keys=True, indent=1) + "\n")
-    print(
-        f"congruence battery p={p}: {len(results['checks'])} checks, "
-        f"{'all pass' if ok else 'FAILURES'}",
-        file=sys.stderr,
-    )
+    if args.model_config:
+        print(f"model {model.name}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
+    else:
+        print(
+            f"congruence battery p={p}: {len(results['checks'])} checks, "
+            f"{'all pass' if ok else 'FAILURES'}",
+            file=sys.stderr,
+        )
     return 0 if ok else 1
 
 

@@ -76,17 +76,15 @@ class AmRing(kernel.IntPolyRing):
 
     def fixed_module_basis(self, t: int) -> list[tuple]:
         """Basis of the T^(p^t)-fixed submodule: cofactor * T^i, a free
-        direct summand of rank p^t - 1; verified to be fixed."""
+        direct summand of rank p^t - 1.  The cofactor is verified to be
+        fixed, and so then is each cofactor * T^i: T^(p^t) - 1 kills it
+        times T^i, the ring being commutative."""
         gen = self.cyclotomic_cofactor(t)
-        basis = []
-        cur = gen
-        for _ in range(self.p**t - 1):
-            basis.append(cur)
-            cur = self.mul(cur, self.psi(1))
-        killer = self.sub(self.pow(self.psi(1), self.p**t), self.one())
-        for b in basis:
-            assert self.is_zero(self.mul(killer, b))
-        return basis
+        assert self.is_zero(self.mul(self.sub(self.psi(self.p**t), self.one()), gen))
+        basis, T = [gen], self.psi(1)
+        for _ in range(self.p**t - 2):
+            basis.append(self.mul(basis[-1], T))
+        return basis if t else []
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +125,7 @@ class FiniteModel:
         self.delta = self.product.generated_subgroup(self.delta_gens)
         self.lam = self._lambda_table(lam_gen_images)
         self.u_p = tuple(sorted(self.lam))
+        self.spaces: dict = {}  # coefficient kind -> EquivariantSpace, see build_space
 
     def _lambda_table(self, gen_images: Sequence[int]) -> dict:
         """Propagate generator images through the subgroup; the walk compares
@@ -153,18 +152,14 @@ class FiniteModel:
         with Delta trivial each coset is one element and stands for itself."""
         if len(self.delta) == 1:
             return self.product.elements
-        coset_of = {}
+        coset_of: dict = {}
         reps = []
-        for g in self.product.elements:
-            if g in coset_of:
-                continue
-            coset = sorted(self.product.mul(d, g) for d in self.delta)
-            rep = coset[0]
-            reps.append(rep)
-            for x in coset:
-                coset_of[x] = rep
+        for g in self.product.elements:  # sorted: the first unseen g is its coset's minimum
+            if g not in coset_of:
+                coset_of.update((self.product.mul(d, g), g) for d in self.delta)
+                reps.append(g)
         self._coset_of = coset_of
-        return tuple(sorted(reps))
+        return tuple(reps)
 
     def act(self, z, g) -> object:
         """Right action of the product group on the base set."""
@@ -178,35 +173,45 @@ class FiniteModel:
     def orbit_data(self):
         """Orbits of U = U_S x U_p with transporter lambda-values.
 
-        Returns (reps, orbit_index, lam_to, stab_exponents) where reps are
-        the orbit minima in increasing order, lam_to[z] is lambda of the
-        p-part of a transporter from the orbit representative to z, and
-        stab_exponents[j] is t with lambda(Stab) = p^t * Z/p^m.
+        Returns (reps, locate, stab_exponents) where reps are the orbit
+        minima in increasing order, locate(z) is (j, lam) with j the index
+        of z's orbit and lam lambda of the p-part of a transporter from
+        reps[j] to z, and stab_exponents[j] is t with lambda(Stab) =
+        p^t * Z/p^m.
 
         With Delta trivial, U acts on Gamma_S x Gamma_p by right
         multiplication, factor by factor, and freely: z*u = z forces u = 1.
-        Hence the orbit of (s, g) is the product s*U_S x g*U_p of a U_S-orbit
-        on Gamma_S and a U_p-orbit on Gamma_p; its minimum in the product
-        order is the pair of the factor minima; the transporter from
-        (s0, g0) to (s, g) is the unique u = (s0^-1 s, g0^-1 g), so lam_to
-        is the Gamma_p walk's lambda-value at g alone; and Stab = 1 gives
-        lambda(Stab) = 0 = p^m * Z/p^m, i.e. t = m on every orbit.  Two
-        factor walks replace the walk over the product.  Otherwise the
-        walk runs on the base set and reads the stabilizers off its
-        Schreier generators.
+        Hence the orbit of (s, g) is the product s*U_S x g*U_p of left
+        cosets; its minimum in the product order is the pair of the coset
+        minima; the transporter from (s0, g0) to (s0*v, g0*u) is the unique
+        (v, u), so lam is lambda(u); and Stab = 1 gives lambda(Stab) = 0 =
+        p^m * Z/p^m, i.e. t = m on every orbit.  The cosets are read off
+        u_s and the lambda table, which _lambda_table has already walked
+        and certified, and locate looks each factor up on its own: the
+        tables hold |Gamma_S| + |Gamma_p| entries.  Otherwise the walk runs
+        on the base set and reads the stabilizers off its Schreier
+        generators.
         """
         if len(self.delta) == 1:
-            return self._free_orbit_data()
+            s_where, s_mins = _left_cosets(self.gamma_s, dict.fromkeys(self.u_s, 0))
+            p_where, p_mins = _left_cosets(self.gamma_p, self.lam)
+            width = len(p_mins)
+
+            def locate(z):
+                j, lam = p_where[z[1]]
+                return s_where[z[0]][0] * width + j, lam
+
+            reps = tuple((s, g) for s in s_mins for g in p_mins)
+            return reps, locate, (self.m,) * len(reps)
         es, ep = self.gamma_s.identity(), self.gamma_p.identity()
         gens = [(gs, ep) for gs in self.u_s_gens] + [(es, gp) for gp in self.u_p_gens]
         lam_gens = [0] * len(self.u_s_gens) + [self.lam[gp] for gp in self.u_p_gens]
         mod = self.p**self.m
-        orbit_index: dict = {}
-        lam_to: dict = {}
+        where: dict = {}
         reps = []
         stab_exponents = []
         for z0 in self.base_set:
-            if z0 in orbit_index:
+            if z0 in where:
                 continue
             orbit, clashes = closure(
                 z0, gens, self.act, lambda lam, k: (lam + lam_gens[k]) % mod, 0
@@ -215,41 +220,9 @@ class FiniteModel:
             # generator t_z * g * t_(z*g)^(-1); these generate Stab(z0)
             g = math.gcd(mod, *(a - b for a, b in clashes))
             stab_exponents.append(kernel.vp(g, self.p))
-            orbit_index.update(dict.fromkeys(orbit, len(reps)))
-            lam_to.update(orbit)
+            where.update((z, (len(reps), lam)) for z, lam in orbit.items())
             reps.append(z0)
-        return tuple(reps), orbit_index, lam_to, tuple(stab_exponents)
-
-    def _free_orbit_data(self):
-        """orbit_data for Delta trivial, as products of factor orbits."""
-        mod = self.p**self.m
-
-        def right_orbits(group, gens, lam_gens):
-            # each element's orbit index and transporter lambda, the minima
-            index, lam, mins = {}, {}, []
-            for x0 in group.elements:
-                if x0 in index:
-                    continue
-                orbit, clashes = closure(
-                    x0, gens, group.mul, lambda v, k: (v + lam_gens[k]) % mod, 0
-                )
-                assert not clashes, "right multiplication is not free"
-                index.update(dict.fromkeys(orbit, len(mins)))
-                lam.update(orbit)
-                mins.append(x0)
-            return index, lam, mins
-
-        s_index, _, s_mins = right_orbits(self.gamma_s, self.u_s_gens, [0] * len(self.u_s_gens))
-        p_index, p_lam, p_mins = right_orbits(
-            self.gamma_p, self.u_p_gens, [self.lam[gp] for gp in self.u_p_gens]
-        )
-        width = len(p_mins)
-        reps = tuple((s, g) for s in s_mins for g in p_mins)
-        orbit_index = {
-            (s, g): i * width + j for s, i in s_index.items() for g, j in p_index.items()
-        }
-        lam_to = {(s, g): lam for s in s_index for g, lam in p_lam.items()}
-        return reps, orbit_index, lam_to, (self.m,) * len(reps)
+        return tuple(reps), where.__getitem__, tuple(stab_exponents)
 
     # -- serialization --------------------------------------------------------
     def to_config(self) -> dict:
@@ -287,6 +260,20 @@ class FiniteModel:
         if model.to_config() != config:
             raise ValueError("non-canonical model: it does not re-serialize to its input")
         return model
+
+
+def _left_cosets(group: FiniteGroup, sub: dict) -> tuple[dict, list]:
+    """Left cosets x*H of H = sub's keys, by one walk over the sorted
+    elements: the first element not yet seen is its coset's minimum x0,
+    and x0*h gets (coset index, sub[h]).  Returns that table and the
+    minima."""
+    where: dict = {}
+    mins = []
+    for x0 in group.elements:
+        if x0 not in where:
+            where.update((group.mul(x0, h), (len(mins), v)) for h, v in sub.items())
+            mins.append(x0)
+    return where, mins
 
 
 def _el_to_json(el):
@@ -400,11 +387,8 @@ class EquivariantSpace:
         self.model = model
         self.kind = kind
         self.ring = AmRing(model.p, model.m)
-        reps, orbit_index, lam_to, stab_exp = model.orbit_data
-        self.orbit_reps = reps
-        self.orbit_index = orbit_index
-        self.lam_to = lam_to
-        self.stab_exponents = stab_exp
+        reps, self.locate, stab_exp = model.orbit_data
+        self.orbit_reps, self.stab_exponents = reps, stab_exp
         if kind == AM_QUOTIENT:
             # induced action on the quotient must be trivial: T^a evaluates to 1
             for gp in model.u_p_gens:
@@ -435,9 +419,12 @@ class EquivariantSpace:
 
 
 def build_space(model: FiniteModel, coeff: str) -> EquivariantSpace:
+    """The model's space for coeff, built once per model and kind."""
     if coeff not in (TRIVIAL, AM_PSI, AM_QUOTIENT):
         raise ValueError(f"unknown coefficient kind {coeff!r}")
-    return EquivariantSpace(model, coeff)
+    if coeff not in model.spaces:
+        model.spaces[coeff] = EquivariantSpace(model, coeff)
+    return model.spaces[coeff]
 
 
 # ---------------------------------------------------------------------------
@@ -451,57 +438,50 @@ class HeckeOperator:
     coset_reps: tuple
 
     def matrix(self, space: EquivariantSpace) -> tuple:
+        """Row k holds the translates z_k*t of the k-th orbit minimum by the
+        coset representatives, each added into the column of its orbit:
+        one pass over the translates per row."""
         model = space.model
+        ring = space.ring
         ep = model.gamma_p.identity()
         translates = [(g, ep) for g in self.coset_reps]
+        located = [
+            [space.locate(model.act(z, t)) for t in translates] for z in space.orbit_reps
+        ]
         if space.kind in (TRIVIAL, AM_QUOTIENT):
             k = len(space.orbit_reps)
             rows = [[0] * k for _ in range(k)]
-            for jcol in range(k):
-                for krow, z in enumerate(space.orbit_reps):
-                    count = 0
-                    for t in translates:
-                        z2 = model.act(z, t)
-                        if space.orbit_index[z2] == jcol:
-                            if space.kind == AM_QUOTIENT:
-                                # transporter acts through the quotient ring
-                                cls = space.ring.mod_T_minus_1(
-                                    space.ring.psi(-space.lam_to[z2])
-                                )
-                                count += cls
-                            else:
-                                count += 1
-                    rows[krow][jcol] = count % model.p**model.m
-            return linalg.mat_freeze(rows)
-        # full-ring coefficients: evaluate, then solve each target orbit's
-        # images in its fixed basis at once
-        ring = space.ring
+            quotient = space.kind == AM_QUOTIENT
+            for row, found in zip(rows, located):
+                for j, lam in found:
+                    # the transporter acts through the quotient ring
+                    row[j] += ring.mod_T_minus_1(ring.psi(-lam)) if quotient else 1
+            return linalg.mat_freeze([[c % model.p**model.m for c in row] for row in rows])
+        # full-ring coefficients: the image of basis function (j, i) at z_k
+        # is (sum of psi(-lam) over the translates landing in orbit j) * b_i;
+        # solve each target orbit's images in its fixed basis at once
         dim = space.dimension
         rows = [[0] * dim for _ in range(dim)]
-        images: list = [[] for _ in space.orbit_reps]  # (column, value) per target orbit
-        for col, (j, i) in enumerate(space.basis_index):
-            b = space.orbit_bases[j][i]
-            for krow_orbit, z in enumerate(space.orbit_reps):
-                value = ring.zero()
-                for t in translates:
-                    z2 = model.act(z, t)
-                    if space.orbit_index[z2] == j:
-                        value = ring.add(
-                            value, ring.mul(ring.psi(-space.lam_to[z2]), b)
-                        )
-                if not ring.is_zero(value):
-                    images[krow_orbit].append((col, value))
-        for krow_orbit, found in enumerate(images):
-            if not found:
+        for krow_orbit, found in enumerate(located):
+            sums: dict = {}
+            for j, lam in found:
+                sums[j] = ring.add(sums.get(j, ring.zero()), ring.psi(-lam))
+            images = [
+                (col, ring.mul(sums[j], space.orbit_bases[j][i]))
+                for col, (j, i) in enumerate(space.basis_index)
+                if j in sums
+            ]
+            images = [(col, v) for col, v in images if not ring.is_zero(v)]
+            if not images:
                 continue
             basis_k = space.orbit_bases[krow_orbit]
             assert basis_k, "operator image met a killed orbit"
             bmat = linalg.mat_freeze(
                 [[bb[coord] for bb in basis_k] for coord in range(ring.deg)]
             )
-            sols = linalg.solve_unit_pivot(bmat, [v for _, v in found], ring.p, ring.K)
+            sols = linalg.solve_unit_pivot(bmat, [v for _, v in images], ring.p, ring.K)
             row_base = space.basis_index.index((krow_orbit, 0))
-            for (col, _), sol in zip(found, sols):
+            for (col, _), sol in zip(images, sols):
                 for i2, c in enumerate(sol):
                     rows[row_base + i2][col] = c
         return linalg.mat_freeze(rows)
@@ -686,9 +666,6 @@ class MatrixRep:
         if clashes:
             raise ValueError("matrix table is not a representation")
         return table
-
-    def matrix(self, model: FiniteModel, up) -> linalg.Matrix:
-        return self.table(model)[up]
 
 
 def trivial_action_level(rep: MatrixRep, p: int) -> int:

@@ -428,11 +428,12 @@ def verify_datum(d: ZeroToralDatum) -> GenericityReport:
 # ---------------------------------------------------------------------------
 
 
-def build_dodd_coordinates(s: int, q: int) -> tuple[ExtensionSpec, list[tuple]]:
-    """Coordinate vector for the odd orthogonal family, via generator powers."""
+def build_dodd_coordinates(s: int, p: int, f: int) -> tuple[ExtensionSpec, list[tuple]]:
+    """Coordinate vector for the odd orthogonal family over q = p^f, via
+    generator powers."""
     if s < 5 or s % 2 == 0:
         raise ValueError("s must be odd and at least 5")
-    p, f = kernel.prime_power(q)
+    q = p**f
     if p <= 2 * s - 2:
         raise ValueError("requires p > 2s - 2")
     spec = ExtensionSpec.unramified(p, f, 2 * s - 2)
@@ -453,8 +454,9 @@ def build_dodd_coordinates(s: int, q: int) -> tuple[ExtensionSpec, list[tuple]]:
     return spec, coords
 
 
-def build_e6_coordinates(variant: str, q: int) -> tuple[ExtensionSpec, list[tuple]]:
-    p, f = kernel.prime_power(q)
+def build_e6_coordinates(variant: str, p: int, f: int) -> tuple[ExtensionSpec, list[tuple]]:
+    """Coordinate vector for E6 over q = p^f in either cubic variant."""
+    q = p**f
     if p <= 12:
         raise ValueError("requires p > 12")
     if variant == "unramified_cubic":
@@ -534,12 +536,12 @@ def build_generic_element(
         a = spec.residue.find_trace_zero_generator()
         coords = [spec.residue.frobenius(a, i) for i in range(rs_type.rank)]
     elif case == "Dodd":
-        spec, coords = build_dodd_coordinates(rs_type.rank, q)
+        spec, coords = build_dodd_coordinates(rs_type.rank, p, f)
     elif case == "E6-ram":
-        spec, coords = build_e6_coordinates("ramified_cubic", q)
+        spec, coords = build_e6_coordinates("ramified_cubic", p, f)
         depth = Fraction(3 * n + 1, 3)
     else:
-        spec, coords = build_e6_coordinates("unramified_cubic", q)
+        spec, coords = build_e6_coordinates("unramified_cubic", p, f)
     cocycle = lattice_cocycle(rs, delta, case)
     datum = ZeroToralDatum(rs, delta, cocycle, spec, p, q, n, depth, tuple(coords), case)
 

@@ -3,9 +3,10 @@
 Weyl-element helpers (orders, images of coroots, eigenvalue exponents, the
 highest coroot, the Coxeter number of a product), the coroot set as a
 reflection closure, genericity rows as direct sums, the modulus search
-without its binomial skip, and the transform-support check on an arbitrary
-functional with its full enumeration.  The tests use them as oracles and to
-state acceptance criteria 02, 05 and 11.
+without its binomial skip, the transform-support check on an arbitrary
+functional with its full enumeration, and a congruence model's Hecke matrix
+counted point by point.  The tests use them as oracles and to state
+acceptance criteria 02, 05 and 11.
 """
 
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from forge import kernel, linalg
+from forge.congruence import FiniteModel
 from forge.cuspcheck import EllipticSeed, TruncatedMatrix, vp
 from forge.cyclotomic import CycloInt, cyclotomic_poly
 from forge.finitegroups import closure
@@ -217,3 +219,30 @@ def fourier_indicator(
         out["enumeration"] = {"count": full, "sum_canonical": list(canonical), "ok": bool(ok)}
         out["indicator_validated"] = bool(ok)
     return out
+
+
+# ---------------------------------------------------------------------------
+# finite congruence models
+# ---------------------------------------------------------------------------
+
+
+def hecke_by_enumeration(model: FiniteModel, coset_reps) -> Matrix:
+    """The trivial-coefficient Hecke matrix by brute force: entry (k, j)
+    counts, mod p^m, the coset representatives t with z_k * t in the j-th
+    orbit.  Each orbit is the set z * U over all of U = U_S x U_p, with no
+    walk over generators; the base set is sorted, so the first point not
+    yet seen is its orbit's minimum z_k.  The quotient coefficients give
+    the same matrix, since T^a is 1 at T = 1."""
+    ep = model.gamma_p.identity()
+    orbit_of: dict = {}
+    minima = []
+    for z in model.base_set:
+        if z not in orbit_of:
+            orbit = (model.act(z, (us, up)) for us in model.u_s for up in model.u_p)
+            orbit_of.update(dict.fromkeys(orbit, len(minima)))
+            minima.append(z)
+    rows = [[0] * len(minima) for _ in minima]
+    for row, z in zip(rows, minima):
+        for g in coset_reps:
+            row[orbit_of[model.act(z, (g, ep))]] += 1
+    return linalg.mat_freeze([[c % model.p**model.m for c in row] for row in rows])

@@ -140,7 +140,7 @@ def test_criterion_03_dodd_battery():
     for s in (5, 7):
         for p in smallest_primes_above(2 * s - 2, 2):
             t0 = time.monotonic()
-            spec, coords = build_dodd_coordinates(s, p)
+            spec, coords = build_dodd_coordinates(s, p, 1)
             res = spec.residue
             # the four generator relations and the b-difference identity
             total = res.zero()

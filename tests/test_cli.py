@@ -297,6 +297,27 @@ def test_congruence_rejects_malformed_model_config(mutate, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_model_config_checks_every_N(tmp_path, capsys):
+    from forge.congruence import builtin_nonfree_model
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(builtin_nonfree_model(3, 2).to_config()))
+    out = tmp_path / "r.json"
+    for N in ("0", "-5"):
+        assert main(["congruence", "--model-config", str(path), "--N", "1", N, "-o", str(out)]) == 2
+        assert "N must be" in capsys.readouterr().err
+        assert not out.exists()
+    # the non-free model fails only its quotient-map check
+    assert main(["congruence", "--model-config", str(path), "--N", "1", "2", "-o", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["kind"], c.get("N"), c["passed"]) for c in checks] == [
+        ("space+hecke", 1, True),
+        ("space+hecke", 2, True),
+        ("quotient-map", None, False),
+    ]
+    capsys.readouterr()
+
+
 def test_congruence_battery_cli(tmp_path):
     out = tmp_path / "congruence.json"
     assert main(["congruence", "--p", "3", "--m", "1", "--N", "1", "-o", str(out)]) == 0

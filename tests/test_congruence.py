@@ -38,6 +38,7 @@ from forge.finitegroups import (
     SymmetricGroup,
     closure,
 )
+from oracles import hecke_by_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +154,7 @@ def test_model_rejects_generators_outside_their_group(u_s, u_p, delta):
 
 def test_free_model_orbits_are_cosets():
     model = builtin_cyclic_model(3, 1)
-    reps, orbit_index, lam_to, stab = model.orbit_data
+    reps, _, stab = model.orbit_data
     # free right action: orbit count = index of U in the product group
     assert len(reps) == 3  # [S3 : <swap>]
     assert all(t == model.m for t in stab)
@@ -169,7 +170,7 @@ def test_free_model_dimension_formula():
 
 def test_nonfree_model_stabilizers():
     model = builtin_nonfree_model(3, 2)
-    reps, _, _, stab = model.orbit_data
+    reps, _, stab = model.orbit_data
     assert all(t == 1 for t in stab)  # lambda(Stab) = p^(m-1) Z / p^m
 
 
@@ -178,7 +179,7 @@ def test_model_config_round_trip():
         cfg = model.to_config()
         again = FiniteModel.from_config(cfg)
         assert again.to_config() == cfg
-        assert again.orbit_data[3] == model.orbit_data[3]
+        assert again.orbit_data[2] == model.orbit_data[2]
 
 
 def test_closure_values_and_disagreements():
@@ -251,36 +252,63 @@ def test_schreier_stabilizers_match_the_scan_on_builtin_models():
                 builtin_zero_lambda_model,
             ):
                 model = build(p, m)
-                assert model.orbit_data[3] == scanned_stab_exponents(model), model.name
+                assert model.orbit_data[2] == scanned_stab_exponents(model), model.name
 
 
 def test_schreier_stabilizers_match_the_scan_with_nontrivial_delta():
     exponents = []
     for model in delta_models():
-        exponents.append(model.orbit_data[3])
+        exponents.append(model.orbit_data[2])
         assert exponents[-1] == scanned_stab_exponents(model)
     assert exponents == [(1, 1, 1), (1, 1, 1), (1, 1), (2,), (1, 1), (2, 1), (3, 2)]
 
 
 def walked_orbit_data(model: FiniteModel):
-    """Reference for Delta = 1: the Schreier walk over all of Gamma_S x
-    Gamma_p, acting by the product's own multiplication."""
+    """Reference: the Schreier walk over the whole base set; with Delta = 1
+    it is all of Gamma_S x Gamma_p, acted on by the product's own
+    multiplication.  Returns (reps, orbit_index, lam_to, stab_exponents),
+    the last three as tables over every base-set point."""
     es, ep = model.gamma_s.identity(), model.gamma_p.identity()
     gens = [(gs, ep) for gs in model.u_s_gens] + [(es, gp) for gp in model.u_p_gens]
     lam_gens = [0] * len(model.u_s_gens) + [model.lam[gp] for gp in model.u_p_gens]
     mod = model.p**model.m
+    act = model.product.mul if len(model.delta) == 1 else model.act
     orbit_index, lam_to, reps, stab_exponents = {}, {}, [], []
-    for z0 in model.product.elements:
+    for z0 in model.base_set:
         if z0 in orbit_index:
             continue
-        orbit, clashes = closure(
-            z0, gens, model.product.mul, lambda lam, k: (lam + lam_gens[k]) % mod, 0
-        )
+        orbit, clashes = closure(z0, gens, act, lambda lam, k: (lam + lam_gens[k]) % mod, 0)
         stab_exponents.append(kernel.vp(math.gcd(mod, *(a - b for a, b in clashes)), model.p))
         orbit_index.update(dict.fromkeys(orbit, len(reps)))
         lam_to.update(orbit)
         reps.append(z0)
     return tuple(reps), orbit_index, lam_to, tuple(stab_exponents)
+
+
+def assert_locate_is_the_walk(model: FiniteModel) -> None:
+    """orbit_data against one walk, locate at every base-set point."""
+    reps, orbit_index, lam_to, stab = walked_orbit_data(model)
+    got_reps, locate, got_stab = model.orbit_data
+    assert (got_reps, got_stab) == (reps, stab), model.name
+    assert len(orbit_index) == len(model.base_set)
+    for z in model.base_set:
+        assert locate(z) == (orbit_index[z], lam_to[z]), (model.name, z)
+
+
+def hand_built_model() -> FiniteModel:
+    """U_S of index 3 in S_3 and U_p = Z/3 x Z/9 of index 9 in Heis(3) x Z/9:
+    both factors have several orbits, and lambda is nonzero on each
+    generator."""
+    return FiniteModel(
+        SymmetricGroup(3),
+        DirectProduct(HeisenbergGroup(3), CyclicGroup(9)),
+        [(1, 0, 2)],
+        [((1, 0, 0), 0), ((0, 0, 0), 1)],
+        [3, 1],
+        3,
+        2,
+        name="hand-built",
+    )
 
 
 def free_models() -> list:
@@ -290,30 +318,21 @@ def free_models() -> list:
         for m in (1, 2, 3)
         for build in (builtin_free_model, builtin_cyclic_model, builtin_zero_lambda_model)
     ]
-    # U_S of index 3 in S_3 and U_p = Z/3 x Z/9 of index 9 in Heis(3) x Z/9:
-    # both factors have several orbits, and lambda is nonzero on each generator
-    models.append(
-        FiniteModel(
-            SymmetricGroup(3),
-            DirectProduct(HeisenbergGroup(3), CyclicGroup(9)),
-            [(1, 0, 2)],
-            [((1, 0, 0), 0), ((0, 0, 0), 1)],
-            [3, 1],
-            3,
-            2,
-            name="hand-built",
-        )
-    )
-    return models
+    return models + [hand_built_model()]
 
 
 def test_free_orbit_data_equals_the_walk():
     models = free_models()
     for model in models:
-        assert model.orbit_data == walked_orbit_data(model), model.name
-    reps, orbit_index, _, stab = models[-1].orbit_data
+        assert_locate_is_the_walk(model)
+    reps, locate, stab = models[-1].orbit_data
     assert len(reps) == 3 * 9 and stab == (2,) * 27
-    assert len(set(orbit_index.values())) == 27
+    assert len({locate(z)[0] for z in models[-1].base_set}) == 27
+
+
+def test_locate_equals_the_walk_with_nontrivial_delta():
+    for model in delta_models():
+        assert_locate_is_the_walk(model)
 
 
 def test_free_orbit_data_makes_no_act_call(monkeypatch):
@@ -325,11 +344,24 @@ def test_free_orbit_data_makes_no_act_call(monkeypatch):
         return act(self, z, g)
 
     monkeypatch.setattr(FiniteModel, "act", counted)
-    model = builtin_free_model(5, 3)
-    reps, orbit_index, lam_to, stab = model.orbit_data
+    def refuse(*args):
+        raise AssertionError("closure called for a free model")
+
+    model = builtin_free_model(5, 3)  # its lambda table is one closure walk
+    monkeypatch.setattr("forge.congruence.closure", refuse)
+    reps, locate, stab = model.orbit_data
     assert calls == []
-    assert len(orbit_index) == len(lam_to) == len(model.base_set) == 6 * 5**3 * 5**3
+    # locate reads one table per factor: |Gamma_S| + |Gamma_p| entries, and
+    # the product's 6 * 5^3 * 5^3 elements are never listed
+    tables = [c.cell_contents for c in locate.__closure__ if isinstance(c.cell_contents, dict)]
+    assert sorted(map(len, tables)) == [6, 5**3 * 5**3]
+    assert "elements" not in vars(model.product)
     assert len(reps) == 3 and stab == (3, 3, 3)
+    # U_p is all of Gamma_p, where lambda(a, b, c; k) = a * 5^2 + k, and
+    # (2, 1, 0) lies in the last coset of <swap>
+    z = ((2, 1, 0), ((4, 3, 2), 17))
+    assert locate(z) == (2, (4 * 5**2 + 17) % 5**3)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +397,16 @@ def test_operator_matrices_integer_and_row_sums():
         total = len(op.coset_reps)
         for row in range(len(mat)):
             assert sum(mat[row][col] for col in range(len(mat))) % 3 == total % 3
+
+
+def test_hecke_matrices_match_the_enumeration():
+    # every generating operator on the multi-coset model and on every model
+    # with Delta != 1, trivial and quotient coefficients alike
+    for model in (hand_built_model(), *delta_models()):
+        triv, quot = build_space(model, TRIVIAL), build_space(model, AM_QUOTIENT)
+        for op in generating_hecke_operators(model):
+            expect = hecke_by_enumeration(model, op.coset_reps)
+            assert op.matrix(triv) == op.matrix(quot) == expect, (model.name, op.gamma)
 
 
 def test_gamma_must_be_away_from_p():
@@ -475,7 +517,7 @@ def test_quotient_size_identity_matches_bareiss():
     seen = set()
     for model in models:
         _, details = quotient_map_check(model)
-        for row, t in zip(details["orbits"], model.orbit_data[3]):
+        for row, t in zip(details["orbits"], model.orbit_data[2]):
             assert row["stab_exponent"] == t
             assert row["quotient_size"] == bareiss_quotient_size(model.p, model.m, t)
             assert row["image_size"] == row["quotient_size"], model.name
@@ -507,6 +549,9 @@ def test_space_builds_one_fixed_basis_per_stabilizer_exponent(monkeypatch):
         space = build_space(model, AM_PSI)
         assert sorted(calls) == sorted(set(space.stab_exponents))
         assert space.orbit_bases == [basis(space.ring, t) for t in space.stab_exponents]
+        # a second request returns the model's space without building again
+        calls.clear()
+        assert build_space(model, AM_PSI) is space and calls == []
 
 
 def test_killed_orbit_contributes_zero_submodule():

@@ -152,7 +152,7 @@ def test_a_type_genericity_is_partial_orbit_sums():
 
 def test_dodd_identities_and_sigma_system():
     for s, q in ((5, 11), (5, 13), (5, 17), (7, 13), (7, 17)):
-        spec, coords = build_dodd_coordinates(s, q)
+        spec, coords = build_dodd_coordinates(s, q, 1)
         res = spec.residue
         b = res.generator_power((q ** (2 * (s - 1)) - 1) // (2 * (q - 1)))
         assert res.sub(coords[s - 2], coords[s - 1]) == b
@@ -191,9 +191,9 @@ def test_dodd_seven_all_case_families():
 
 def test_dodd_precondition():
     with pytest.raises(ValueError):
-        build_dodd_coordinates(5, 7)  # p <= 2s-2
+        build_dodd_coordinates(5, 7, 1)  # p <= 2s-2
     with pytest.raises(ValueError):
-        build_dodd_coordinates(4, 11)
+        build_dodd_coordinates(4, 11, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_dodd_precondition():
 
 
 def test_e6_unramified_sigma_system_q17():
-    spec, coords = build_e6_coordinates("unramified_cubic", 17)
+    spec, coords = build_e6_coordinates("unramified_cubic", 17, 1)
     res = spec.residue
     a = res.find_trace_zero_generator()
     sa = res.frobenius(a)
@@ -283,9 +283,9 @@ def test_e6_builder_drives_lattice_claims():
 
 def test_e6_variant_preconditions():
     with pytest.raises(ValueError):
-        build_e6_coordinates("unramified_cubic", 13)  # 13 = 1 mod 3
+        build_e6_coordinates("unramified_cubic", 13, 1)  # 13 = 1 mod 3
     with pytest.raises(ValueError):
-        build_e6_coordinates("ramified_cubic", 17)  # 17 != 1 mod 3
+        build_e6_coordinates("ramified_cubic", 17, 1)  # 17 != 1 mod 3
     with pytest.raises(ValueError):
         build_generic_element(T("E6"), None, 17, 17, 1, ramified=True)
     # q = 1 mod 3 silently selects the ramified variant
@@ -507,6 +507,11 @@ def test_q_is_checked_against_the_known_p(monkeypatch, p, q, match):
     with pytest.raises(ValueError, match=match):
         build_generic_element(T("A2"), None, p, q, 1)
     assert build_generic_element(T("A2"), None, 5, 25, 1).q == 25
+    # the Dodd and E6 builders take p and f from the checked q as well
+    assert build_generic_element(T("D5"), None, 11, 11, 1).case == "Dodd"
+    assert build_generic_element(T("E6"), None, 13, 13, 1).case == "E6-ram"
+    assert build_generic_element(T("E6"), None, 17, 17, 1).case == "E6-unram"
+    assert build_generic_element(T("E6"), None, 17, 17**2, 1).case == "E6-ram"
 
 
 def test_residue_degree_of_every_builder_datum():
