@@ -78,13 +78,12 @@ class AmRing(kernel.IntPolyRing):
         """Basis of the T^(p^t)-fixed submodule: cofactor * T^i, a free
         direct summand of rank p^t - 1.  The cofactor is verified to be
         fixed, and so then is each cofactor * T^i: T^(p^t) - 1 kills it
-        times T^i, the ring being commutative."""
+        times T^i, the ring being commutative.  The cofactor has degree
+        p^m - p^t, so cofactor * T^i has degree at most p^m - 2 < deg: it
+        is the cofactor's coefficients shifted up i places, unreduced."""
         gen = self.cyclotomic_cofactor(t)
         assert self.is_zero(self.mul(self.sub(self.psi(self.p**t), self.one()), gen))
-        basis, T = [gen], self.psi(1)
-        for _ in range(self.p**t - 2):
-            basis.append(self.mul(basis[-1], T))
-        return basis if t else []
+        return [(0,) * i + gen[: self.deg - i] for i in range(self.p**t - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,34 +115,49 @@ class FiniteModel:
         self.name = name
         self.product = DirectProduct(gamma_s, gamma_p)
         for gens, group in ((u_s_gens, gamma_s), (u_p_gens, gamma_p), (delta_gens, self.product)):
-            if gens and not set(group.elements).issuperset(gens):
+            if not all(g in group for g in gens):
                 raise ValueError(f"a generator in {list(gens)} is not an element of its group")
         self.u_s_gens = tuple(u_s_gens)
         self.u_p_gens = tuple(u_p_gens)
         self.u_s = gamma_s.generated_subgroup(self.u_s_gens)
         self.delta_gens = tuple(delta_gens)
         self.delta = self.product.generated_subgroup(self.delta_gens)
-        self.lam = self._lambda_table(lam_gen_images)
-        self.u_p = tuple(sorted(self.lam))
+        self._lam_factors = self._lambda_tables(lam_gen_images)
+        # lambda at the generators; the walks have checked each image there
+        self.lam = {g: a % p**m for g, a in zip(self.u_p_gens, lam_gen_images)}
         self.spaces: dict = {}  # coefficient kind -> EquivariantSpace, see build_space
 
-    def _lambda_table(self, gen_images: Sequence[int]) -> dict:
-        """Propagate generator images through the subgroup; the walk compares
-        lambda(x*g) with lambda(x) + lambda(g) once on every edge, which
-        certifies the homomorphism property exactly."""
+    def _lambda_tables(self, gen_images: Sequence[int]) -> list:
+        """lambda on U_p as (group, table) pairs, one per factor walked; a walk
+        compares lambda(x*g) with lambda(x) + lambda(g) once on every edge,
+        which certifies the homomorphism property exactly.  If Gamma_p = L x
+        R and each generator lies in L x 1 or 1 x R, U_p = U_L x U_R and,
+        Z/p^m being abelian, lambda(x, y) = lambda_L(x) + lambda_R(y)."""
         if len(gen_images) != len(self.u_p_gens):
             raise ValueError("one image per u_p generator required")
-        mod = self.p**self.m
-        table, clashes = closure(
-            self.gamma_p.identity(),
-            self.u_p_gens,
-            self.gamma_p.mul,
-            lambda lam, k: (lam + gen_images[k]) % mod,
-            0,
-        )
-        if clashes:
-            raise ValueError("lambda is not a homomorphism")
-        return table
+        group, mod = self.gamma_p, self.p**self.m
+        pairs = list(zip(self.u_p_gens, gen_images))
+        walks = [(group, pairs)]
+        if isinstance(group, DirectProduct):
+            e_left, e_right = group.left.identity(), group.right.identity()
+            if all(g[0] == e_left or g[1] == e_right for g, _ in pairs):
+                walks = [
+                    (group.left, [(g[0], a) for g, a in pairs if g[1] == e_right]),
+                    (group.right, [(g[1], a) for g, a in pairs if g[1] != e_right]),
+                ]
+        tables = []
+        for factor, gens in walks:
+            table, clashes = closure(
+                factor.identity(),
+                [g for g, _ in gens],
+                factor.mul,
+                lambda lam, k: (lam + gens[k][1]) % mod,
+                0,
+            )
+            if clashes:
+                raise ValueError("lambda is not a homomorphism")
+            tables.append((factor, table))
+        return tables
 
     # -- base set -----------------------------------------------------------
     @cached_property
@@ -186,27 +200,23 @@ class FiniteModel:
         minima; the transporter from (s0, g0) to (s0*v, g0*u) is the unique
         (v, u), so lam is lambda(u); and Stab = 1 gives lambda(Stab) = 0 =
         p^m * Z/p^m, i.e. t = m on every orbit.  The cosets are read off
-        u_s and the lambda table, which _lambda_table has already walked
-        and certified, and locate looks each factor up on its own: the
-        tables hold |Gamma_S| + |Gamma_p| entries.  Otherwise the walk runs
-        on the base set and reads the stabilizers off its Schreier
-        generators.
+        u_s and the lambda tables, which _lambda_tables has already walked
+        and certified; a coset of U_L x U_R is the product of factor cosets,
+        so locate looks each factor up on its own, in tables of |Gamma_S| +
+        |Gamma_p| entries, or |Gamma_S| + |L| + |R| when lambda was split.
+        Otherwise the walk runs on the base set and reads the stabilizers
+        off its Schreier generators.
         """
+        mod = self.p**self.m
         if len(self.delta) == 1:
-            s_where, s_mins = _left_cosets(self.gamma_s, dict.fromkeys(self.u_s, 0))
-            p_where, p_mins = _left_cosets(self.gamma_p, self.lam)
-            width = len(p_mins)
-
-            def locate(z):
-                j, lam = p_where[z[1]]
-                return s_where[z[0]][0] * width + j, lam
-
-            reps = tuple((s, g) for s in s_mins for g in p_mins)
-            return reps, locate, (self.m,) * len(reps)
+            parts = [_left_cosets(group, table) for group, table in self._lam_factors]
+            p_part = parts[0] if len(parts) == 1 else _coset_product(*parts, mod)
+            s_part = _left_cosets(self.gamma_s, dict.fromkeys(self.u_s, 0))
+            locate, reps = _coset_product(s_part, p_part, mod)
+            return tuple(reps), locate, (self.m,) * len(reps)
         es, ep = self.gamma_s.identity(), self.gamma_p.identity()
         gens = [(gs, ep) for gs in self.u_s_gens] + [(es, gp) for gp in self.u_p_gens]
         lam_gens = [0] * len(self.u_s_gens) + [self.lam[gp] for gp in self.u_p_gens]
-        mod = self.p**self.m
         where: dict = {}
         reps = []
         stab_exponents = []
@@ -262,18 +272,31 @@ class FiniteModel:
         return model
 
 
-def _left_cosets(group: FiniteGroup, sub: dict) -> tuple[dict, list]:
+def _left_cosets(group: FiniteGroup, sub: dict) -> tuple:
     """Left cosets x*H of H = sub's keys, by one walk over the sorted
     elements: the first element not yet seen is its coset's minimum x0,
-    and x0*h gets (coset index, sub[h]).  Returns that table and the
-    minima."""
+    and x0*h gets (coset index, sub[h]).  Returns the lookup of that table
+    and the minima."""
     where: dict = {}
     mins = []
     for x0 in group.elements:
         if x0 not in where:
             where.update((group.mul(x0, h), (len(mins), v)) for h, v in sub.items())
             mins.append(x0)
-    return where, mins
+    return where.__getitem__, mins
+
+
+def _coset_product(left: tuple, right: tuple, mod: int) -> tuple:
+    """Cosets of a product from each factor's (lookup, minima): (x, y)*(H x K)
+    = x*H x y*K has the pair of minima as its minimum; the values add."""
+    (find_left, mins_left), (find_right, mins_right) = left, right
+    width = len(mins_right)
+
+    def locate(z):
+        (i, a), (j, b) = find_left(z[0]), find_right(z[1])
+        return i * width + j, (a + b) % mod
+
+    return locate, [(x, y) for x in mins_left for y in mins_right]
 
 
 def _el_to_json(el):
@@ -489,7 +512,7 @@ class HeckeOperator:
 
 def hecke_operator(model: FiniteModel, gamma) -> HeckeOperator:
     """Double-coset operator for gamma in the away-from-p factor."""
-    if gamma not in set(model.gamma_s.elements):
+    if gamma not in model.gamma_s:
         raise ValueError("gamma must lie in the away-from-p group")
     double = {
         model.gamma_s.mul(model.gamma_s.mul(h1, gamma), h2)

@@ -58,9 +58,8 @@ class FiniteGroup:
     def _elements(self) -> Iterable:
         raise NotImplementedError
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def __contains__(self, x) -> bool:
+        return x in set(self.elements)
 
     def generated_subgroup(self, gens: Iterable) -> tuple:
         return tuple(sorted(closure(self.identity(), list(gens), self.mul)[0]))
@@ -143,6 +142,9 @@ class DirectProduct(FiniteGroup):
 
     def _elements(self):
         return ((x, y) for x in self.left.elements for y in self.right.elements)
+
+    def __contains__(self, x) -> bool:  # factor by factor, the product unlisted
+        return isinstance(x, tuple) and len(x) == 2 and x[0] in self.left and x[1] in self.right
 
     def to_config(self):
         return {

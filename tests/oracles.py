@@ -4,8 +4,9 @@ Weyl-element helpers (orders, images of coroots, eigenvalue exponents, the
 highest coroot, the Coxeter number of a product), the coroot set as a
 reflection closure, genericity rows as direct sums, the modulus search
 without its binomial skip, the transform-support check on an arbitrary
-functional with its full enumeration, and a congruence model's Hecke matrix
-counted point by point.  The tests use them as oracles and to state
+functional with its full enumeration, and a congruence model's level group
+U_p, its character on every element of U_p by one walk over Gamma_p, and
+its Hecke matrix counted point by point.  The tests use them as oracles and to state
 acceptance criteria 02, 05 and 11.
 """
 
@@ -226,6 +227,28 @@ def fourier_indicator(
 # ---------------------------------------------------------------------------
 
 
+def u_p_elements(model: FiniteModel) -> tuple:
+    """U_p, sorted: the subgroup of Gamma_p its generators give."""
+    return model.gamma_p.generated_subgroup(model.u_p_gens)
+
+
+def lambda_by_walk(model: FiniteModel) -> dict:
+    """lambda on every element of U_p by one closure walk over Gamma_p from
+    the generator images, whatever the shape of Gamma_p; the walk must
+    find no clash."""
+    mod = model.p**model.m
+    images = [model.lam[g] for g in model.u_p_gens]
+    table, clashes = closure(
+        model.gamma_p.identity(),
+        model.u_p_gens,
+        model.gamma_p.mul,
+        lambda lam, k: (lam + images[k]) % mod,
+        0,
+    )
+    assert not clashes, model.name
+    return table
+
+
 def hecke_by_enumeration(model: FiniteModel, coset_reps) -> Matrix:
     """The trivial-coefficient Hecke matrix by brute force: entry (k, j)
     counts, mod p^m, the coset representatives t with z_k * t in the j-th
@@ -234,11 +257,12 @@ def hecke_by_enumeration(model: FiniteModel, coset_reps) -> Matrix:
     yet seen is its orbit's minimum z_k.  The quotient coefficients give
     the same matrix, since T^a is 1 at T = 1."""
     ep = model.gamma_p.identity()
+    u_p = u_p_elements(model)
     orbit_of: dict = {}
     minima = []
     for z in model.base_set:
         if z not in orbit_of:
-            orbit = (model.act(z, (us, up)) for us in model.u_s for up in model.u_p)
+            orbit = (model.act(z, (us, up)) for us in model.u_s for up in u_p)
             orbit_of.update(dict.fromkeys(orbit, len(minima)))
             minima.append(z)
     rows = [[0] * len(minima) for _ in minima]

@@ -297,6 +297,21 @@ def test_congruence_rejects_malformed_model_config(mutate, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_model_config_lambda_clash_in_one_factor(tmp_path, capsys):
+    from forge.congruence import builtin_free_model
+
+    # (0, 3) in Heis(3) x Z/9 has order 3, but its image 1 has order 9
+    config = builtin_free_model(3, 2).to_config()
+    config["u_p"][2] = [[0, 0, 0], 3]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert main(["congruence", "--model-config", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda is not a homomorphism") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_model_config_checks_every_N(tmp_path, capsys):
     from forge.congruence import builtin_nonfree_model
 

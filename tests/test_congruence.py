@@ -38,7 +38,7 @@ from forge.finitegroups import (
     SymmetricGroup,
     closure,
 )
-from oracles import hecke_by_enumeration
+from oracles import hecke_by_enumeration, lambda_by_walk, u_p_elements
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,19 @@ def test_fixed_module_bases():
     assert len(cyclotomic_poly(9)) - 1 == 6
 
 
+def test_fixed_module_basis_is_the_mul_chain():
+    # the shift by T against cofactor * T^i through full ring products
+    for p in (3, 5, 7):
+        for m in (1, 2, 3):
+            ring = AmRing(p, m)
+            T = ring.psi(1)
+            for t in range(m + 1):
+                chain = [ring.cyclotomic_cofactor(t)]
+                for _ in range(p**t - 2):
+                    chain.append(ring.mul(T, chain[-1]))
+                assert ring.fixed_module_basis(t) == (chain if t else []), (p, m, t)
+
+
 # ---------------------------------------------------------------------------
 # models, orbits, stabilizers
 # ---------------------------------------------------------------------------
@@ -165,7 +178,7 @@ def test_free_model_dimension_formula():
     model = builtin_free_model(3, 1)
     triv = build_space(model, TRIVIAL)
     # dim = |Z| / |U_p x U_s| for free actions
-    assert triv.dimension == len(model.base_set) // (len(model.u_s) * len(model.u_p))
+    assert triv.dimension == len(model.base_set) // (len(model.u_s) * len(u_p_elements(model)))
 
 
 def test_nonfree_model_stabilizers():
@@ -200,13 +213,14 @@ def test_closure_values_and_disagreements():
 def scanned_stab_exponents(model: FiniteModel) -> tuple:
     """Reference: lambda(Stab) found by acting with all of U_S x U_p."""
     mod = model.p**model.m
+    u_p, lam = u_p_elements(model), lambda_by_walk(model)
     out = []
     for z0 in model.orbit_data[0]:
         images = {0}
         for us in model.u_s:
-            for up in model.u_p:
+            for up in u_p:
                 if model.act(z0, (us, up)) == z0:
-                    images.add(model.lam[up])
+                    images.add(lam[up])
         g = math.gcd(mod, *images)
         t = kernel.vp(g, model.p)
         assert g == model.p**t
@@ -335,6 +349,69 @@ def test_locate_equals_the_walk_with_nontrivial_delta():
         assert_locate_is_the_walk(model)
 
 
+def lookup_tables(locate) -> list:
+    """The dicts a locate function reads, through the lookups it closes over."""
+    if isinstance(getattr(locate, "__self__", None), dict):
+        return [locate.__self__]
+    return [
+        table
+        for cell in locate.__closure__ or ()
+        if callable(cell.cell_contents)
+        for table in lookup_tables(cell.cell_contents)
+    ]
+
+
+def lambda_of(model: FiniteModel, u) -> int:
+    """lambda(u) from the model's own tables: one per factor it walked."""
+    if len(model._lam_factors) == 1:
+        return model._lam_factors[0][1][u]
+    (_, left), (_, right) = model._lam_factors
+    return (left[u[0]] + right[u[1]]) % model.p**model.m
+
+
+def test_split_lambda_equals_the_walk():
+    s3, swap = SymmetricGroup(3), (1, 0, 2)
+    z9_z3 = DirectProduct(CyclicGroup(9), CyclicGroup(3))
+    # (1, 1) is nontrivial in both factors: lambda is walked whole
+    diagonal = FiniteModel(s3, z9_z3, [swap], [(1, 1)], [1], 3, 2, name="diagonal")
+    # one split level: the left factor Z/9 x Z/3 is walked whole
+    nested = FiniteModel(
+        s3,
+        DirectProduct(z9_z3, CyclicGroup(3)),
+        [swap],
+        [((3, 1), 0), ((0, 0), 1)],
+        [3, 6],
+        3,
+        2,
+        name="nested",
+    )
+    # no generator in the right factor: U_R = 1, a coset per element of Z/3
+    left_only = FiniteModel(s3, z9_z3, [swap], [(3, 0)], [3], 3, 2, name="left-only")
+    models = [
+        model
+        for model in (*free_models(), *delta_models(), diagonal, nested, left_only)
+        if isinstance(model.gamma_p, DirectProduct)
+    ]
+    assert len(models) == 6 + 1 + 2 + 3
+    for model in models:
+        assert len(model._lam_factors) == (1 if model is diagonal else 2), model.name
+        walked = lambda_by_walk(model)
+        assert all(lambda_of(model, u) == lam for u, lam in walked.items()), model.name
+    # the two tests above check locate against the walk on the other models
+    for model in (diagonal, nested, left_only):
+        assert_locate_is_the_walk(model)
+    assert [len(model.orbit_data[0]) for model in (diagonal, nested, left_only)] == [
+        3 * 3,
+        3 * 9,
+        3 * 3 * 3,
+    ]
+    # images that fail in one factor only: (0, 1) of order 3 sent to 1 of
+    # order 9, then (3, 0) of order 3 sent to 1 while (0, 1) goes to 3
+    for gens, images in (([(1, 0), (0, 1)], [1, 1]), ([(3, 0), (0, 1)], [1, 3])):
+        with pytest.raises(ValueError, match="lambda is not a homomorphism"):
+            FiniteModel(s3, z9_z3, [swap], gens, images, 3, 2)
+
+
 def test_free_orbit_data_makes_no_act_call(monkeypatch):
     calls = []
     act = FiniteModel.act
@@ -347,15 +424,16 @@ def test_free_orbit_data_makes_no_act_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("closure called for a free model")
 
-    model = builtin_free_model(5, 3)  # its lambda table is one closure walk
+    model = builtin_free_model(5, 3)  # lambda is one closure walk per factor
     monkeypatch.setattr("forge.congruence.closure", refuse)
     reps, locate, stab = model.orbit_data
     assert calls == []
-    # locate reads one table per factor: |Gamma_S| + |Gamma_p| entries, and
-    # the product's 6 * 5^3 * 5^3 elements are never listed
-    tables = [c.cell_contents for c in locate.__closure__ if isinstance(c.cell_contents, dict)]
-    assert sorted(map(len, tables)) == [6, 5**3 * 5**3]
+    # locate reads one table per factor, |Gamma_S| + |Heis(5)| + |Z/125|
+    # entries, and neither the product's 6 * 5^3 * 5^3 elements nor Gamma_p's
+    # 5^3 * 5^3 are ever listed
+    assert sorted(map(len, lookup_tables(locate))) == [6, 5**3, 5**3]
     assert "elements" not in vars(model.product)
+    assert "elements" not in vars(model.gamma_p)
     assert len(reps) == 3 and stab == (3, 3, 3)
     # U_p is all of Gamma_p, where lambda(a, b, c; k) = a * 5^2 + k, and
     # (2, 1, 0) lies in the last coset of <swap>
