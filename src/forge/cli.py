@@ -76,9 +76,7 @@ def cmd_build(args) -> int:
         delta = DiagramAutomorphism((3, 2, 4, 1))
     elif args.delta == "trivial":
         delta = trivial_automorphism(rs)
-    datum = build_generic_element(
-        rs_type, delta, args.p, args.q or args.p, args.n, ramified=args.ramified
-    )
+    datum = build_generic_element(rs_type, delta, args.p, args.q, args.n, ramified=args.ramified)
     if args.ramified and datum.case not in ("Case1-ram", "E6-ram"):
         raise ValueError(
             f"--ramified has no ramified construction for {rs_type} with this form "
@@ -185,6 +183,8 @@ def cmd_congruence(args) -> int:
 def cmd_cusp(args) -> int:
     seed = elliptic_seed(args.p, args.K)
     char = lambda_character(seed, args.n, args.m)
+    if args.x is not None and not 1 <= args.x < args.p ** (args.m + 1):
+        raise ValueError(f"x must satisfy 1 <= x < p^(m+1) = {args.p ** (args.m + 1)}, got x = {args.x}")
     samples = default_samples(char, args.samples)
     profiles = unipotent_support_profiles(char, samples)
     xs = x_class_representatives(args.p, args.m) if args.x is None else [args.x]

@@ -11,7 +11,7 @@ generators, special elements) reproducible.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import kernel
 
@@ -80,32 +80,26 @@ class FieldExtension:
         self.modulus = kernel.smallest_irreducible(self.base, n)
         self._ring = self.base.poly_ring(self.modulus)
         self._frobenius_matrix = kernel.frobenius_columns(self._ring, self.q)
+        self._zero = (self.base.zero(),) * n
+        self._one = (self.base.one(),) + self._zero[1:]
         self._generator: Optional[tuple] = None
+        self._trace_zero: Optional[tuple] = None
 
     # -- element plumbing ------------------------------------------------
     def zero(self) -> tuple:
-        return (self.base.zero(),) * self.n
+        return self._zero
 
     def one(self) -> tuple:
-        return tuple([self.base.one()] + [self.base.zero()] * (self.n - 1))
+        return self._one
 
     def from_int(self, n: int) -> tuple:
-        digits = []
-        n %= self.size
-        for _ in range(self.n):
-            digits.append(self.base.from_int(n % self.q))
-            n //= self.q
-        return tuple(digits)
+        return tuple(self.base.from_int(n // self.q**i % self.q) for i in range(self.n))
 
     def encode(self, a: tuple) -> int:
         return sum(self.base.encode(c) * self.q**i for i, c in enumerate(a))
 
-    def elements(self) -> Iterator[tuple]:
-        for n in range(self.size):
-            yield self.from_int(n)
-
     def is_zero(self, a: tuple) -> bool:
-        return a == self.zero()
+        return a == self._zero
 
     # -- arithmetic ------------------------------------------------------
     def add(self, a, b):
@@ -124,9 +118,30 @@ class FieldExtension:
         return self._ring.smul(n, a)
 
     def pow(self, a, e: int):
+        """a^e by base-q digits (von zur Gathen & Shoup, Comput. Complexity 2,
+        1992): for a != 0 and e = sum d_i q^i mod q^n - 1, a^e = prod
+        sigma^i(a)^(d_i).  Conjugates with equal digits are multiplied first;
+        the digits share one squaring chain (Straus-Shamir)."""
         if e < 0:
             return self.pow(self.inv(a), -e)
-        return self._ring.pow(a, e)
+        if a == self._zero:
+            return a if e else self._one
+        ring, e = self._ring, e % (self.size - 1)
+        terms: dict = {}  # digit -> product of the conjugates carrying it
+        while e:
+            e, d = divmod(e, self.q)
+            if d:
+                terms[d] = ring.mul(terms[d], a) if d in terms else a
+            if e:
+                a = ring.apply(self._frobenius_matrix, a)
+        result = None
+        for bit in range(max(terms, default=0).bit_length() - 1, -1, -1):
+            if result is not None:
+                result = ring.mul(result, result)
+            for d, c in terms.items():
+                if d >> bit & 1:
+                    result = c if result is None else ring.mul(result, c)
+        return self._one if result is None else result
 
     def inv(self, a):
         if self.is_zero(a):
@@ -144,20 +159,17 @@ class FieldExtension:
             a = self._ring.apply(self._frobenius_matrix, a)
         return a
 
-    def _orbit_fold(self, op, a: tuple) -> tuple:
-        """op(...op(op(a, sigma(a)), sigma^2(a))..., sigma^(n-1)(a))."""
+    def trace(self, a: tuple) -> tuple:
         out = a
         for _ in range(self.n - 1):
             a = self._ring.apply(self._frobenius_matrix, a)
-            out = op(out, a)
+            out = self.add(out, a)
         return out
 
-    def trace(self, a: tuple) -> tuple:
-        return self._orbit_fold(self.add, a)
-
-    def norm(self, a: tuple) -> tuple:
-        """a * sigma(a) * ... * sigma^(n-1)(a) = a^((q^n - 1)/(q - 1)), in F_q."""
-        return self._orbit_fold(self.mul, a)
+    def norm(self, a: tuple):
+        """a * sigma(a) * ... * sigma^(n-1)(a) = a^((q^n - 1)/(q - 1)) in F_q,
+        as Res(h, a): the product of a over the roots of h, the conjugates of x."""
+        return kernel.resultant(self.base, list(self.modulus), list(a))
 
     def minimal_polynomial_degree(self, a: tuple) -> int:
         """Degree of the minimal polynomial over F_q = Frobenius orbit size."""
@@ -173,18 +185,20 @@ class FieldExtension:
 
         Start from the residue class of x (whose minimal polynomial is the
         modulus, hence of full degree) and subtract off its trace scaled by
-        1/n; requires p not dividing n and n >= 2.
+        1/n; requires p not dividing n and n >= 2.  Built once per field.
         """
         if self.n < 2:
             raise ValueError("extension degree must be at least 2")
         if self.n % self.p == 0:
             raise ValueError("requires p not dividing n")
-        e0 = self.one()[-1:] + self.one()[:-1]  # x
-        e = self.sub(self.smul(self.n, e0), self.trace(e0))
-        assert not self.is_zero(e)
-        assert self.is_zero(self.trace(e))
-        assert self.minimal_polynomial_degree(e) == self.n
-        return e
+        if self._trace_zero is None:
+            e0 = self._one[-1:] + self._one[:-1]  # x
+            e = self.sub(self.smul(self.n, e0), self.trace(e0))
+            assert not self.is_zero(e)
+            assert self.is_zero(self.trace(e))
+            assert self.minimal_polynomial_degree(e) == self.n
+            self._trace_zero = e
+        return self._trace_zero
 
     @cached_property
     def _order_primes(self) -> tuple[tuple, tuple]:
@@ -200,7 +214,7 @@ class FieldExtension:
         that c generates the unit group."""
         base_primes, other_primes = self._order_primes
         return kernel.full_order(
-            self.base.pow, self.norm(c)[0], self.q - 1, base_primes, self.base.one()
+            self.base.pow, self.norm(c), self.q - 1, base_primes, self.base.one()
         ) and kernel.full_order(self.pow, c, self.size - 1, other_primes, self.one())
 
     def multiplicative_generator(self) -> tuple:
@@ -210,9 +224,10 @@ class FieldExtension:
         ell | Q - 1, Q = q^n, with three exact reductions:
           - norm: for ell | q - 1, c^((Q-1)/ell) = N(c)^((q-1)/ell), since
             (Q-1)/ell = (Q-1)/(q-1) * (q-1)/ell and N(c) = c^((Q-1)/(q-1)), so
-            these primes are tested in F_q after n - 1 Frobenius steps and
-            products; for odd q, ell = 2 alone rejects the squares, half of
-            all candidates, with no power in F_{q^n};
+            these primes are tested in F_q after one resultant, a single
+            division step for the candidates c0 + c1 x below q^2; for odd q,
+            ell = 2 alone rejects the squares, half of all candidates, with
+            no power in F_{q^n};
           - product tree: `kernel.full_order` tests a set of k primes in one
             full power plus ~log2(k) levels of small ones, not k full powers;
           - for n > 1 the loop starts at encoding q: the elements below it
@@ -232,15 +247,7 @@ class FieldExtension:
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self) -> dict:
-        def enc_poly(poly):
-            return [self.base.encode(c) for c in poly]
-
-        return {
-            "p": self.p,
-            "f": self.f,
-            "n": self.n,
-            "modulus": enc_poly(self.modulus),
-        }
+        return {"p": self.p, "f": self.f, "n": self.n, "modulus": self.element_to_json(self.modulus)}
 
     def element_to_json(self, a: tuple) -> list[int]:
         return [self.base.encode(c) for c in a]

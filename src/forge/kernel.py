@@ -4,10 +4,10 @@ Those rings are F_p[y]/(g), the Galois ring GR(p^K, f) = Z/p^K[y]/(g~)
 and Z/p^K[T]/(1 + T + ... + T^(p^m - 1)) with int coefficients, and
 F_q[x]/(h) with q = p^f > p and R[x]/(x^e - p) over a coefficient ring
 with tuple elements.  The module also holds square-and-multiply, the
-product-tree order test, the q-power Frobenius as columns, Rabin's test by
-iterated Frobenius with the modulus search, the p-adic valuation, the
-integer number theory (primality, factoring, the prime-power parser) and
-the JSON int check.
+product-tree order test, the resultant, the q-power Frobenius as columns,
+Rabin's test by iterated Frobenius with the modulus search, the p-adic
+valuation, the integer number theory (primality, factoring, the
+prime-power parser) and the JSON int check.
 
 Polynomials are little-endian tuples; a modulus lists every coefficient,
 the leading 1 last.  Each ring keeps the nonzero tail of its modulus,
@@ -19,10 +19,10 @@ A coefficient-ring object provides zero(), one(), add, sub and mul, and
 keeps its elements canonical, so that equality is ring equality; neg and
 smul (the product with a rational integer) carry over to a PolyRing from
 a coefficient ring that has them, as IntPolyRing does.  A field is such
-a ring with neg and smul, plus is_zero, inv, from_int, its number of
-elements `size`, and poly_ring(modulus), the kernel ring of polynomials
-over it modulo a monic modulus; the irreducibility routines use only
-these.
+a ring with neg and smul, plus is_zero, inv, pow (by an int e >= 0),
+from_int, its number of elements `size`, and poly_ring(modulus), the
+kernel ring of polynomials over it modulo a monic modulus; the
+irreducibility routines and the resultant use only these.
 """
 
 from __future__ import annotations
@@ -275,11 +275,14 @@ def full_order(pow: Callable, a, order: int, primes: Sequence[int], one) -> bool
     return not primes or test(pow(a, order // math.prod(primes)), primes)
 
 
-def gcd_degree(field, a: list, b: list) -> int:
-    """Degree of gcd(a, b) over `field`, -1 when both are zero; consumes a, b.
+def resultant(field, a: list, b: list):
+    """Res(a, b) over `field`, zero when a or b is; consumes a and b.
 
-    b's leading coefficient is inverted once per swap, not once per step;
-    ZeroDivisionError when b is zero and a is not."""
+    Euclid with Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) *
+    Res(b, r), r = a mod b, one inversion per division step, down to
+    Res(a, c) = c^(deg a) for a constant c != 0 (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 6).  For monic a it is the product of b
+    over the roots of a: zero iff gcd(a, b) != 1."""
 
     def deg(u):
         for i in range(len(u) - 1, -1, -1):
@@ -288,18 +291,26 @@ def gcd_degree(field, a: list, b: list) -> int:
         return -1
 
     da, db = deg(a), deg(b)
-    lead_inv = None
-    while da >= 0:
-        if da < db:
-            a, b, da, db = b, a, db, da
-            lead_inv = None
-        if lead_inv is None:
+    res = field.one()
+    while db > 0:
+        if da >= db:
             lead_inv = field.inv(b[db])
-        c = field.mul(a[da], lead_inv)
-        for j in range(db + 1):
-            a[da - db + j] = field.sub(a[da - db + j], field.mul(c, b[j]))
-        da = deg(a)
-    return db
+            for i in range(da, db - 1, -1):
+                if not field.is_zero(a[i]):
+                    c = field.mul(a[i], lead_inv)
+                    for j in range(db):
+                        a[i - db + j] = field.sub(a[i - db + j], field.mul(c, b[j]))
+            del a[db:]
+        dr = deg(a)
+        if dr < 0:
+            return field.zero()
+        if da * db % 2:
+            res = field.neg(res)
+        res = field.mul(res, field.pow(b[db], da - dr))
+        a, b, da, db = b, a, db, dr
+    if da < 0 or db < 0:
+        return field.zero()
+    return field.mul(res, field.pow(b[0], da))
 
 
 def frobenius_columns(ring, q: int) -> tuple:
@@ -314,8 +325,8 @@ def frobenius_columns(ring, q: int) -> tuple:
 
 def is_irreducible(field, modulus: tuple) -> bool:
     """Rabin's test for a monic modulus of degree n over F_q = `field`, with
-    y = x^(q^k) stepped by the Frobenius columns: gcd(y - x, modulus) = 1 at
-    k = n/ell for each prime ell | n, and y = x at k = n."""
+    y = x^(q^k) stepped by the Frobenius columns: Res(modulus, y - x) != 0
+    at k = n/ell for each prime ell | n, and y = x at k = n."""
     n = len(modulus) - 1
     if n == 1:
         return True
@@ -325,7 +336,7 @@ def is_irreducible(field, modulus: tuple) -> bool:
     checks = {n // ell for ell in prime_factors(n)}
     for k in range(1, n + 1):
         y = ring.apply(cols, y)
-        if k in checks and gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
+        if k in checks and field.is_zero(resultant(field, list(modulus), list(ring.sub(y, x)))):
             return False
     return y == x
 
@@ -342,11 +353,7 @@ def smallest_irreducible(field, n: int) -> tuple:
     q = field.size
     skip = n >= 2 and (any((q - 1) % ell for ell in prime_factors(n)) or (n % 4 == 0 and q % 4 != 1))
     for enc in range(q if skip else 0, q**n):
-        digits = []
-        for _ in range(n):
-            digits.append(field.from_int(enc % q))
-            enc //= q
-        modulus = tuple(digits) + (field.one(),)
+        modulus = tuple(field.from_int(enc // q**i % q) for i in range(n)) + (field.one(),)
         if is_irreducible(field, modulus):
             return modulus
     raise ArithmeticError(f"no monic irreducible of degree {n} over F_{q}")

@@ -32,10 +32,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

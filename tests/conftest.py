@@ -16,6 +16,7 @@ def trace_zero_battery():
     q^n <= 10^4 (None above that).  Shared by the ffield test and
     acceptance criterion 06, which assert on it separately."""
     from forge.ffield import build_extension
+    from oracles import field_elements
 
     rows = []
     for q in range(2, 1001):
@@ -32,7 +33,7 @@ def trace_zero_battery():
                 if ext.q**n <= 10**4:
                     witnesses = [
                         a
-                        for a in ext.elements()
+                        for a in field_elements(ext)
                         if not ext.is_zero(a)
                         and ext.is_zero(ext.trace(a))
                         and ext.minimal_polynomial_degree(a) == n

@@ -1,10 +1,12 @@
 """Test-side copies of API that forge itself does not call.
 
-Weyl-element helpers (orders, images of coroots, eigenvalue exponents, the
-highest coroot, the Coxeter number of a product), the coroot set as a
-reflection closure, genericity rows as direct sums, the modulus search
-without its binomial skip, the transform-support check on an arbitrary
-functional with its full enumeration, and a congruence model's level group
+The matrix-vector product, a finite field's elements in encoding order and
+its norm as the product of the n conjugates, Weyl-element helpers (orders,
+images of coroots, eigenvalue exponents, the highest coroot, the Coxeter
+number of a product), the coroot set as a reflection closure, genericity
+rows as direct sums, the modulus search without its binomial skip, the
+transform-support check on an arbitrary functional with its full
+enumeration, and a congruence model's level group
 U_p, its character on every element of U_p by one walk over Gamma_p, and
 its Hecke matrix counted point by point.  The tests use them as oracles and to state
 acceptance criteria 02, 05 and 11.
@@ -18,10 +20,33 @@ from forge import kernel, linalg
 from forge.congruence import FiniteModel
 from forge.cuspcheck import EllipticSeed, TruncatedMatrix, vp
 from forge.cyclotomic import CycloInt, cyclotomic_poly
+from forge.ffield import FieldExtension
 from forge.finitegroups import closure
-from forge.linalg import Matrix
+from forge.linalg import Matrix, Vector
 from forge.rootsys import Coroot, RootSystem, WeylElement, coxeter_number
 from forge.toraldata import CorootRow, GenericityReport, ZeroToralDatum
+
+# ---------------------------------------------------------------------------
+# matrices and finite fields
+# ---------------------------------------------------------------------------
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+
+
+def field_elements(ext: FieldExtension):
+    """Every element of `ext`, in encoding order."""
+    return (ext.from_int(n) for n in range(ext.size))
+
+
+def norm_by_conjugates(ext: FieldExtension, a: tuple) -> tuple:
+    """a * sigma(a) * ... * sigma^(n-1)(a), as an element of `ext`."""
+    out = a
+    for k in range(1, ext.n):
+        out = ext.mul(out, ext.frobenius(a, k))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # root systems and Weyl elements
@@ -44,7 +69,7 @@ def closure_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     seen: dict = {}
     for c in rs.simple_coroots:
         if c.expansion not in seen:
-            orbit, _ = closure(c.expansion, reflections, lambda v, refl: linalg.mat_vec(refl, v))
+            orbit, _ = closure(c.expansion, reflections, lambda v, refl: mat_vec(refl, v))
             seen.update(orbit)
     return tuple(sorted(seen))
 
@@ -67,7 +92,7 @@ def weyl_identity(rs: RootSystem) -> WeylElement:
 def weyl_apply(w: WeylElement, coroot: Coroot) -> Coroot:
     if len(w.matrix) != len(coroot.expansion):
         raise ValueError("dimension mismatch")
-    return Coroot(linalg.mat_vec(w.matrix, coroot.expansion))
+    return Coroot(mat_vec(w.matrix, coroot.expansion))
 
 
 def weyl_order(w: WeylElement, bound: int = 10000) -> int:

@@ -233,13 +233,20 @@ def test_congruence_rejects_invalid_p_and_m(flags, name, capsys):
         (["depth", "--level-p", "25"], "p must be"),
         (["build", "--type", "A2", "--p", "3317044064679887385962123"], "3317044064679887385961981"),
         (["cusp", "--p", "3317044064679887385962123"], "3317044064679887385961981"),
+        (["build", "--type", "A2", "--p", "5", "--q", "0"], "q must be a power of p"),
+        (["build", "--type", "A2", "--p", "5", "--q", "-5"], "q must be a power of p"),
+        (["cusp", "--x", "-1"], "1 <= x < p^(m+1) = 125"),
+        (["cusp", "--x", "0"], "1 <= x < p^(m+1) = 125"),
+        (["cusp", "--x", "249"], "1 <= x < p^(m+1) = 125"),
+        (["cusp", "--p", "7", "--m", "1", "--x", "49"], "1 <= x < p^(m+1) = 49"),
     ],
     ids=[
         "cusp-p4", "cusp-p9", "cusp-p15", "cusp-p-5", "congruence-N0", "congruence-N-1",
         "sweep-prime-4", "sweep-n0", "sweep-q-exponent-0", "build-A2-ramified",
         "build-D5-ramified", "cusp-m0", "cusp-samples0", "cusp-samples-3", "depth-max-m0",
         "depth-level-m0", "depth-level-m-1", "depth-level-p9", "depth-level-p25",
-        "build-p-above-mr-bound", "cusp-p-above-mr-bound",
+        "build-p-above-mr-bound", "cusp-p-above-mr-bound", "build-q0", "build-q-5",
+        "cusp-x-1", "cusp-x0", "cusp-x249", "cusp-p7-m1-x49",
     ],
 )
 def test_invalid_parameters_exit_two(argv, name, tmp_path, capsys):

@@ -5,12 +5,15 @@ arithmetic modulo q^n - 1 for the generator-power identities.
 """
 
 import json
+import random
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from forge import kernel
 from forge.ffield import FieldExtension, build_extension
+from oracles import field_elements, norm_by_conjugates
 
 
 def test_build_f25_frobenius_is_fifth_power():
@@ -66,7 +69,7 @@ def test_fixed_set_of_frobenius_is_base_field():
         ext = build_extension(p, f, n)
         if ext.q**n > 10**4:
             continue
-        fixed = [a for a in ext.elements() if ext.frobenius(a) == a]
+        fixed = [a for a in field_elements(ext) if ext.frobenius(a) == a]
         assert len(fixed) == ext.q
         assert all(a[1:] == ext.zero()[1:] for a in fixed)
 
@@ -83,7 +86,7 @@ def test_trace_zero_witness_f9_exhaustive_oracle():
     e = ext.find_trace_zero_generator()
     witnesses = [
         a
-        for a in ext.elements()
+        for a in field_elements(ext)
         if not ext.is_zero(a)
         and ext.is_zero(ext.trace(a))
         and ext.minimal_polynomial_degree(a) == 2
@@ -197,12 +200,31 @@ def test_full_order_test_agrees_with_per_prime_test(p, f, n):
 
 
 def test_norm_is_the_power_into_the_base_field():
-    for (p, f, n) in [(7, 1, 3), (3, 2, 2), (2, 1, 6), (5, 1, 1)]:
+    # the resultant against the product of the n conjugates and against
+    # square-and-multiply to (Q - 1)/(q - 1), both taken in F_{q^n}
+    for (p, f, n) in [(7, 1, 3), (3, 2, 2), (2, 1, 6), (5, 1, 1), (17, 2, 4)]:
         ext = build_extension(p, f, n)
         for enc in range(0, ext.size, 1 + ext.size // 60):
             a = ext.from_int(enc)
-            assert ext.norm(a) == ext.pow(a, (ext.size - 1) // (ext.q - 1))
-            assert ext.norm(a)[1:] == ext.zero()[1:]
+            want = norm_by_conjugates(ext, a)
+            assert want == (ext.norm(a),) + ext.zero()[1:]
+            assert want == kernel.power(ext.mul, a, (ext.size - 1) // (ext.q - 1), ext.one())
+
+
+# F_{p^n}, F_{(p^f)^n} and n = 1 over F_p and over F_{p^2}
+POW_FIELDS = [(7, 1, 3), (2, 1, 6), (3, 2, 2), (5, 2, 3), (5, 1, 1), (3, 2, 1), (17, 2, 12)]
+
+
+@pytest.mark.parametrize("p,f,n", POW_FIELDS, ids=lambda v: str(v))
+def test_pow_by_digits_is_square_and_multiply(p, f, n):
+    ext = build_extension(p, f, n)
+    q, Q = ext.q, ext.size
+    rng = random.Random(f"{p}-{f}-{n}")
+    exponents = [0, 1, q - 1, q, Q - 2, Q - 1, Q] + [rng.randrange(q, Q**2) for _ in range(6)]
+    elements = [ext.zero(), ext.one()] + [ext.from_int(rng.randrange(1, Q)) for _ in range(6)]
+    for a in elements:
+        for e in exponents:
+            assert ext.pow(a, e) == kernel.power(ext.mul, a, e, ext.one()), (a, e)
 
 
 @pytest.mark.parametrize("p,enc", [(2, 1), (3, 2), (7, 3)])

@@ -14,10 +14,11 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from forge import kernel, linalg
 from forge.ffield import PrimeField, build_extension
-from oracles import smallest_irreducible_walk
+from oracles import mat_vec, smallest_irreducible_walk
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -260,7 +261,7 @@ def test_solve_unit_pivot_many_right_hand_sides(pk, ncols, extra, nrhs, data):
     full = linalg.mat_mul(lower, stacked)
     b = linalg.mat_mod(tuple(full[i] for i in order), mod)
     coeffs = [tuple(data.draw(entry) for _ in range(ncols)) for _ in range(nrhs)]
-    vs = [linalg.mat_vec(b, c) for c in coeffs]
+    vs = [mat_vec(b, c) for c in coeffs]
     sols = linalg.solve_unit_pivot(b, vs, p, k)
     assert sols == coeffs
     assert sols == [linalg.solve_unit_pivot(b, [v], p, k)[0] for v in vs]
@@ -319,23 +320,48 @@ _COEFFS = st.lists(st.integers(0, 12), min_size=1, max_size=9)
 
 
 @given(st.sampled_from(PRIMES), _COEFFS, _COEFFS)
-def test_gcd_degree_against_sympy(p, a, b):
+def test_resultant_against_sympy(p, a, b):
     field = _CountingField(p)
     a, b = [c % p for c in a], [c % p for c in b]
     da, db = (max((i for i, c in enumerate(u) if c), default=-1) for u in (a, b))
-    if db < 0 <= da:
-        with pytest.raises(ZeroDivisionError):
-            kernel.gcd_degree(field, a, b)
-        return
     x = sympy.Symbol("x")
-    want = sympy.Poly(a[::-1], x, modulus=p).gcd(sympy.Poly(b[::-1], x, modulus=p))
-    assert kernel.gcd_degree(field, a, b) == (want.degree() if not want.is_zero else -1)
+    want = 0
+    if da >= 0 and db >= 0:
+        # the Sylvester determinant: sympy's `resultant` flips its sign when
+        # deg a < deg b and deg a * deg b is odd, as for Res(x, x^3 + 2) = 2
+        a_x, b_x = (sympy.Poly(u[::-1], x).as_expr() for u in (a, b))
+        want = int(sylvester(a_x, b_x, x).det()) % p
+    assert kernel.resultant(field, a, b) == want
     # one inversion per divisor; the divisors' degrees fall strictly
     assert field.inversions <= min(da, db) + 1
 
 
+def _sympy_gcd_is_one(field, u, h):
+    """Whether gcd(u, h) = 1 over F_q = `field`, from sympy: the reduced
+    Groebner basis over F_p of u and h, each coefficient lifted to a
+    polynomial in y of degree < f, together with F_q's modulus g(y) when
+    q = p^f > p.  It is [1] iff the ideal (u, h) of F_q[x] is."""
+    x, y = sympy.symbols("x y")
+    p = field.p
+
+    def lift(coeffs):
+        out = 0
+        for k, c in enumerate(coeffs):
+            e, i = field.encode(c), 0
+            while e:
+                out += (e % p) * y**i * x**k
+                e, i = e // p, i + 1
+        return out
+
+    rels = [lift(u), lift(h)]
+    if field.size > p:
+        rels.append(sum(c * y**i for i, c in enumerate(field.modulus)))
+    return sympy.groebner(rels, x, y, modulus=p, order="lex").exprs == [1]
+
+
 def _pow_rabin(field, modulus):
-    """Rabin's test by square-and-multiply, the reference for is_irreducible."""
+    """Rabin's test by square-and-multiply with sympy's gcds, the reference
+    for is_irreducible."""
     n = len(modulus) - 1
     if n == 1:
         return True
@@ -346,7 +372,7 @@ def _pow_rabin(field, modulus):
         return False
     for ell in sympy.primefactors(n):
         y = ring.pow(x, field.size ** (n // ell))
-        if kernel.gcd_degree(field, list(ring.sub(y, x)), list(modulus)) > 0:
+        if not _sympy_gcd_is_one(field, ring.sub(y, x), modulus):
             return False
     return True
 

@@ -38,7 +38,7 @@ from forge.toraldata import (
     verify_galois_descent,
     verify_genericity,
 )
-from oracles import genericity_by_sum
+from oracles import field_elements, genericity_by_sum
 
 T = RootSystemType.parse
 
@@ -128,7 +128,7 @@ def test_a_type_descent_negative_control_fails_at_last_index():
     # replace the orbit seed by a generator with nonzero trace
     bad = next(
         a
-        for a in res.elements()
+        for a in field_elements(res)
         if not res.is_zero(res.trace(a)) and res.minimal_polynomial_degree(a) == 3
     )
     coords = [res.frobenius(bad, i) for i in range(2)]
