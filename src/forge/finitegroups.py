@@ -16,16 +16,17 @@ def closure(
     start,
     gens: Sequence,
     act: Callable,
-    carry: Callable = lambda value, k: value,
+    carry: Callable = lambda value, x, k: value,
     value=None,
 ) -> tuple[dict, list]:
     """Breadth-first closure of `start` under x -> act(x, g) for g in gens.
 
     `start` holds `value`; the first edge x -> act(x, gens[k]) that reaches
-    a point gives it carry(value at x, k).  Every other edge carries a value
-    too, and where it differs from the one already stored the pair (carried,
-    stored) is recorded, so each edge is compared exactly once.  Returns the
-    values in breadth-first order and the list of those disagreements.
+    a point gives it carry(value at x, x, k).  Every other edge carries a
+    value too, and where it differs from the one already stored the pair
+    (carried, stored) is recorded, so each edge is compared exactly once.
+    Returns the values in breadth-first order and the list of those
+    disagreements.
     """
     values = {start: value}
     clashes = []
@@ -33,7 +34,7 @@ def closure(
     for x in frontier:  # appended to while it is walked: a FIFO queue
         for k, g in enumerate(gens):
             y = act(x, g)
-            v = carry(values[x], k)
+            v = carry(values[x], x, k)
             if y not in values:
                 values[y] = v
                 frontier.append(y)

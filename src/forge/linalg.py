@@ -8,7 +8,8 @@ over Z/p^K.
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from typing import Optional, Sequence
 
 from . import kernel
 
@@ -24,12 +25,12 @@ def mat_freeze(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, k = len(a), len(b[0]), len(b)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[t] * cb[t] for t in range(k)) for cb in bt) for ra in a
-    )
+def mat_mul(a: Matrix, b: Matrix, mod: Optional[int] = None) -> Matrix:
+    """a * b, its entries reduced mod `mod` when one is given."""
+    cols = tuple(zip(*b))
+    if mod is None:
+        return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(operator.mul, row, col)) % mod for col in cols) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

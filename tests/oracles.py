@@ -7,11 +7,13 @@ number of a product), the coroot set as a reflection closure, genericity
 rows as direct sums, the modulus search without its binomial skip, the
 transform-support check on an arbitrary functional with its full
 enumeration, and a congruence model's level group
-U_p, its character on every element of U_p by one walk over Gamma_p, and
-its Hecke matrix counted point by point.  The tests use them as oracles and to state
+U_p, its character on every element of U_p by one walk over Gamma_p, its
+base set Delta\\(Gamma_S x Gamma_p) with the right action on it, and its
+Hecke matrix counted point by point.  The tests use them as oracles and to state
 acceptance criteria 02, 05 and 11.
 """
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -267,11 +269,41 @@ def lambda_by_walk(model: FiniteModel) -> dict:
         model.gamma_p.identity(),
         model.u_p_gens,
         model.gamma_p.mul,
-        lambda lam, k: (lam + images[k]) % mod,
+        lambda lam, _, k: (lam + images[k]) % mod,
         0,
     )
     assert not clashes, model.name
     return table
+
+
+@functools.lru_cache(maxsize=8)  # a few models at a time: the tables span the product
+def _delta_cosets(model: FiniteModel) -> tuple:
+    """The right cosets Delta*g as (minima, element -> its coset's minimum),
+    both over the listed product; None for the map when Delta is trivial."""
+    product = model.product
+    delta = product.generated_subgroup(model.delta_gens)
+    if len(delta) == 1:
+        return product.elements, None
+    coset_of: dict = {}
+    minima = []
+    for g in product.elements:  # sorted: the first unseen g is its coset's minimum
+        if g not in coset_of:
+            coset_of.update((product.mul(d, g), g) for d in delta)
+            minima.append(g)
+    return tuple(minima), coset_of
+
+
+def base_set(model: FiniteModel) -> tuple:
+    """Right cosets Delta\\(Gamma_S x Gamma_p) by their minima, sorted; with
+    Delta trivial each coset is one element and stands for itself."""
+    return _delta_cosets(model)[0]
+
+
+def act(model: FiniteModel, z, g):
+    """Right action of the product group on the base set."""
+    coset_of = _delta_cosets(model)[1]
+    zg = model.product.mul(z, g)
+    return zg if coset_of is None else coset_of[zg]
 
 
 def hecke_by_enumeration(model: FiniteModel, coset_reps) -> Matrix:
@@ -285,13 +317,13 @@ def hecke_by_enumeration(model: FiniteModel, coset_reps) -> Matrix:
     u_p = u_p_elements(model)
     orbit_of: dict = {}
     minima = []
-    for z in model.base_set:
+    for z in base_set(model):
         if z not in orbit_of:
-            orbit = (model.act(z, (us, up)) for us in model.u_s for up in u_p)
+            orbit = (act(model, z, (us, up)) for us in model.u_s for up in u_p)
             orbit_of.update(dict.fromkeys(orbit, len(minima)))
             minima.append(z)
     rows = [[0] * len(minima) for _ in minima]
     for row, z in zip(rows, minima):
         for g in coset_reps:
-            row[orbit_of[model.act(z, (g, ep))]] += 1
+            row[orbit_of[act(model, z, (g, ep))]] += 1
     return linalg.mat_freeze([[c % model.p**model.m for c in row] for row in rows])

@@ -369,6 +369,37 @@ def test_battery_report_bytes(argv, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BATTERY_REPORT_SHA256[argv]
 
 
+def _model_configs() -> dict:
+    from forge.congruence import FiniteModel, builtin_nonfree_model
+    from forge.finitegroups import CyclicGroup, SymmetricGroup
+
+    # tau = (0 2) meets U_S = <(0 1)> after conjugation on some orbits only
+    mixed_t = FiniteModel(
+        SymmetricGroup(3), CyclicGroup(8), [(1, 0, 2)], [1], [1], 2, 3,
+        delta_gens=[((2, 1, 0), 4)], name="mixed-t-s3-z8",
+    )
+    return {model.name: model.to_config() for model in (builtin_nonfree_model(5, 3), mixed_t)}
+
+
+# sha256 and exit code of `forge congruence --model-config` on two models with
+# Delta != 1; both fail only their quotient-map check
+MODEL_REPORT_SHA256 = {
+    "nonfree-cyclic-p5-m3": "171e919eac0ae96e673b0e51ce5e87a7b73870f898955ff17b41e6b3d5ccba23",
+    "mixed-t-s3-z8": "fe9dc5e67acdd8703499dfea42175dcb98008a2bdf5be935e176946b11a57027",
+}
+
+
+@pytest.mark.parametrize("name", list(MODEL_REPORT_SHA256))
+def test_model_config_report_bytes(name, tmp_path, capsys):
+    import hashlib
+
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_model_configs()[name]))
+    assert main(["congruence", "--model-config", str(path), "-o", str(out)]) == 1
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MODEL_REPORT_SHA256[name]
+
+
 def test_cusp_cli_small(tmp_path):
     out = tmp_path / "cusp.json"
     code = main(

@@ -38,7 +38,7 @@ from forge.finitegroups import (
     SymmetricGroup,
     closure,
 )
-from oracles import hecke_by_enumeration, lambda_by_walk, u_p_elements
+from oracles import act, base_set, hecke_by_enumeration, lambda_by_walk, u_p_elements
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +171,14 @@ def test_free_model_orbits_are_cosets():
     # free right action: orbit count = index of U in the product group
     assert len(reps) == 3  # [S3 : <swap>]
     assert all(t == model.m for t in stab)
-    assert len(model.base_set) == 6 * 3
+    assert len(base_set(model)) == 6 * 3
 
 
 def test_free_model_dimension_formula():
     model = builtin_free_model(3, 1)
     triv = build_space(model, TRIVIAL)
     # dim = |Z| / |U_p x U_s| for free actions
-    assert triv.dimension == len(model.base_set) // (len(model.u_s) * len(u_p_elements(model)))
+    assert triv.dimension == len(base_set(model)) // (len(model.u_s) * len(u_p_elements(model)))
 
 
 def test_nonfree_model_stabilizers():
@@ -201,13 +201,17 @@ def test_closure_values_and_disagreements():
     assert list(values.items()) == [(x, None) for x in (0, 2, 3, 4, 5, 1)]
     assert clashes == []
     # 1 -> 2 in Z/12 is a homomorphism on Z/6
-    values, clashes = closure(0, [1], c6.mul, lambda v, k: (v + 2) % 12, 0)
+    values, clashes = closure(0, [1], c6.mul, lambda v, _, k: (v + 2) % 12, 0)
     assert list(values.items()) == [(0, 0), (1, 2), (2, 4), (3, 6), (4, 8), (5, 10)]
     assert clashes == []
     # 1 -> 1 is not: the edge 5 -> 0 carries 6 where 0 is stored
-    values, clashes = closure(0, [1], c6.mul, lambda v, k: (v + 1) % 12, 0)
+    values, clashes = closure(0, [1], c6.mul, lambda v, _, k: (v + 1) % 12, 0)
     assert list(values.values()) == [0, 1, 2, 3, 4, 5]
     assert clashes == [(6, 0)]
+    # the carry is handed the edge's source point
+    values, clashes = closure(0, [1], c6.mul, lambda v, x, k: x, None)
+    assert list(values.items()) == [(0, None), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
+    assert clashes == [(5, None)]
 
 
 def scanned_stab_exponents(model: FiniteModel) -> tuple:
@@ -219,7 +223,7 @@ def scanned_stab_exponents(model: FiniteModel) -> tuple:
         images = {0}
         for us in model.u_s:
             for up in u_p:
-                if model.act(z0, (us, up)) == z0:
+                if act(model, z0, (us, up)) == z0:
                     images.add(lam[up])
         g = math.gcd(mod, *images)
         t = kernel.vp(g, model.p)
@@ -278,20 +282,25 @@ def test_schreier_stabilizers_match_the_scan_with_nontrivial_delta():
 
 
 def walked_orbit_data(model: FiniteModel):
-    """Reference: the Schreier walk over the whole base set; with Delta = 1
-    it is all of Gamma_S x Gamma_p, acted on by the product's own
+    """Reference: the Schreier walk of U over the whole base set; with
+    Delta = 1 it is all of Gamma_S x Gamma_p, acted on by the product's own
     multiplication.  Returns (reps, orbit_index, lam_to, stab_exponents),
     the last three as tables over every base-set point."""
     es, ep = model.gamma_s.identity(), model.gamma_p.identity()
     gens = [(gs, ep) for gs in model.u_s_gens] + [(es, gp) for gp in model.u_p_gens]
     lam_gens = [0] * len(model.u_s_gens) + [model.lam[gp] for gp in model.u_p_gens]
     mod = model.p**model.m
-    act = model.product.mul if len(model.delta) == 1 else model.act
     orbit_index, lam_to, reps, stab_exponents = {}, {}, [], []
-    for z0 in model.base_set:
+    for z0 in base_set(model):
         if z0 in orbit_index:
             continue
-        orbit, clashes = closure(z0, gens, act, lambda lam, k: (lam + lam_gens[k]) % mod, 0)
+        orbit, clashes = closure(
+            z0,
+            gens,
+            lambda z, g: act(model, z, g),
+            lambda lam, _, k: (lam + lam_gens[k]) % mod,
+            0,
+        )
         stab_exponents.append(kernel.vp(math.gcd(mod, *(a - b for a, b in clashes)), model.p))
         orbit_index.update(dict.fromkeys(orbit, len(reps)))
         lam_to.update(orbit)
@@ -300,13 +309,21 @@ def walked_orbit_data(model: FiniteModel):
 
 
 def assert_locate_is_the_walk(model: FiniteModel) -> None:
-    """orbit_data against one walk, locate at every base-set point."""
+    """orbit_data against one walk, locate at every point of Gamma_S x
+    Gamma_p.  The orbit index is exact.  Transporters to z differ by the
+    stabilizer, so lambda is compared mod lambda(Stab) = p^t, all that a
+    transporter fixes; with Delta = 1 the walk gives t = m, the transporter
+    is unique and the comparison exact."""
     reps, orbit_index, lam_to, stab = walked_orbit_data(model)
     got_reps, locate, got_stab = model.orbit_data
     assert (got_reps, got_stab) == (reps, stab), model.name
-    assert len(orbit_index) == len(model.base_set)
-    for z in model.base_set:
-        assert locate(z) == (orbit_index[z], lam_to[z]), (model.name, z)
+    assert len(orbit_index) == len(base_set(model))
+    e = model.product.identity()
+    for z in model.product.elements:
+        point = act(model, z, e)  # z's coset Delta*z in the base set
+        j, lam = locate(z)
+        assert j == orbit_index[point], (model.name, z)
+        assert (lam - lam_to[point]) % model.p ** stab[j] == 0, (model.name, z)
 
 
 def hand_built_model() -> FiniteModel:
@@ -341,24 +358,12 @@ def test_free_orbit_data_equals_the_walk():
         assert_locate_is_the_walk(model)
     reps, locate, stab = models[-1].orbit_data
     assert len(reps) == 3 * 9 and stab == (2,) * 27
-    assert len({locate(z)[0] for z in models[-1].base_set}) == 27
+    assert len({locate(z)[0] for z in base_set(models[-1])}) == 27
 
 
 def test_locate_equals_the_walk_with_nontrivial_delta():
     for model in delta_models():
         assert_locate_is_the_walk(model)
-
-
-def lookup_tables(locate) -> list:
-    """The dicts a locate function reads, through the lookups it closes over."""
-    if isinstance(getattr(locate, "__self__", None), dict):
-        return [locate.__self__]
-    return [
-        table
-        for cell in locate.__closure__ or ()
-        if callable(cell.cell_contents)
-        for table in lookup_tables(cell.cell_contents)
-    ]
 
 
 def lambda_of(model: FiniteModel, u) -> int:
@@ -412,34 +417,41 @@ def test_split_lambda_equals_the_walk():
             FiniteModel(s3, z9_z3, [swap], gens, images, 3, 2)
 
 
-def test_free_orbit_data_makes_no_act_call(monkeypatch):
-    calls = []
-    act = FiniteModel.act
-
-    def counted(self, z, g):
-        calls.append(z)
-        return act(self, z, g)
-
-    monkeypatch.setattr(FiniteModel, "act", counted)
-    def refuse(*args):
-        raise AssertionError("closure called for a free model")
-
-    model = builtin_free_model(5, 3)  # lambda is one closure walk per factor
-    monkeypatch.setattr("forge.congruence.closure", refuse)
-    reps, locate, stab = model.orbit_data
-    assert calls == []
-    # locate reads one table per factor, |Gamma_S| + |Heis(5)| + |Z/125|
-    # entries, and neither the product's 6 * 5^3 * 5^3 elements nor Gamma_p's
-    # 5^3 * 5^3 are ever listed
-    assert sorted(map(len, lookup_tables(locate))) == [6, 5**3, 5**3]
-    assert "elements" not in vars(model.product)
-    assert "elements" not in vars(model.gamma_p)
-    assert len(reps) == 3 and stab == (3, 3, 3)
+def test_no_model_lists_the_product():
+    builtin = [
+        build(p, m)
+        for p in (3, 5)
+        for m in (1, 2, 3)
+        for build in (
+            builtin_free_model,
+            builtin_nonfree_model,
+            builtin_cyclic_model,
+            builtin_zero_lambda_model,
+        )
+    ]
+    free = builtin_free_model(5, 3)
+    # Heis(5) x Z/125 at p with Delta != 1: 6 * 5^3 * 5^3 product elements
+    heis = FiniteModel(
+        free.gamma_s,
+        free.gamma_p,
+        free.u_s_gens,
+        free.u_p_gens,
+        [free.lam[g] for g in free.u_p_gens],
+        5,
+        3,
+        delta_gens=[((1, 0, 2), ((0, 0, 1), 25))],
+    )
+    for model in (*builtin, *delta_models(), free, heis):
+        verify_congruence_theorem(model, N=2)
+        quotient_map_check(model)
+        assert "elements" not in vars(model.product), model.name
+    # lambda was split: Gamma_p's 5^3 * 5^3 elements are never listed either
+    assert "elements" not in vars(free.gamma_p)
     # U_p is all of Gamma_p, where lambda(a, b, c; k) = a * 5^2 + k, and
     # (2, 1, 0) lies in the last coset of <swap>
-    z = ((2, 1, 0), ((4, 3, 2), 17))
-    assert locate(z) == (2, (4 * 5**2 + 17) % 5**3)
-    assert calls == []
+    reps, locate, stab = free.orbit_data
+    assert len(reps) == 3 and stab == (3, 3, 3)
+    assert locate(((2, 1, 0), ((4, 3, 2), 17))) == (2, (4 * 5**2 + 17) % 5**3)
 
 
 # ---------------------------------------------------------------------------
@@ -665,38 +677,31 @@ def test_full_ring_hecke_functoriality_free_model():
 
 
 def test_full_ring_operator_commutes_with_quotient_map_nonfree():
-    # naturality on a model with partial fixed modules: reducing full-ring
+    # naturality on models with partial fixed modules: reducing full-ring
     # functions at T=1 then applying the operator equals applying the
     # operator first; checked as matrix identity Q M_full = M_quot Q
-    model = builtin_nonfree_model(3, 2)
-    full = build_space(model, AM_PSI)
-    quot = build_space(model, AM_QUOTIENT)
-    ring = full.ring
-    p_m = 9
-    korb = len(full.orbit_reps)
-    rank = full.dimension // korb  # equal blocks: all stabilizer exponents agree
-    q_rows = [[0] * full.dimension for _ in range(korb)]
-    for col, (j, i) in enumerate(full.basis_index):
-        q_rows[j][col] = ring.mod_T_minus_1(full.orbit_bases[j][i])
-    for op in generating_hecke_operators(model):
-        m_full = op.matrix(full)
-        m_quot = op.matrix(quot)
-        left = [
-            [
-                sum(q_rows[r][k] * m_full[k][c] for k in range(full.dimension)) % p_m
-                for c in range(full.dimension)
+    for model in (builtin_nonfree_model(3, 2), *delta_models()):
+        full = build_space(model, AM_PSI)
+        quot = build_space(model, AM_QUOTIENT)
+        ring = full.ring
+        p_m = model.p**model.m
+        dim, korb = full.dimension, len(full.orbit_reps)
+        assert dim == sum(model.p**t - 1 for t in full.stab_exponents)
+        q_rows = [[0] * dim for _ in range(korb)]
+        for col, (j, i) in enumerate(full.basis_index):
+            q_rows[j][col] = ring.mod_T_minus_1(full.orbit_bases[j][i])
+        for op in generating_hecke_operators(model):
+            m_full = op.matrix(full)
+            m_quot = op.matrix(quot)
+            left = [
+                [sum(q_rows[r][k] * m_full[k][c] for k in range(dim)) % p_m for c in range(dim)]
+                for r in range(korb)
             ]
-            for r in range(korb)
-        ]
-        right = [
-            [
-                sum(m_quot[r][k] * q_rows[k][c] for k in range(korb)) % p_m
-                for c in range(full.dimension)
+            right = [
+                [sum(m_quot[r][k] * q_rows[k][c] for k in range(korb)) % p_m for c in range(dim)]
+                for r in range(korb)
             ]
-            for r in range(korb)
-        ]
-        assert left == right
-    assert rank == 2  # p^t - 1 with t = 1
+            assert left == right, (model.name, op.gamma)
 
 
 # ---------------------------------------------------------------------------
