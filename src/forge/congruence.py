@@ -8,7 +8,8 @@ Delta acting on the left, and a character lambda on U_p valued in Z/p^m.
 Function spaces live on the double cosets, found by walking Delta on the
 left cosets of the level with exact stabilizer bookkeeping; operators away
 from p are double-coset sums confined to the Gamma_S factor, so they commute
-with the U_p-equivariance by construction.
+with the U_p-equivariance by construction, and their left cosets come from
+the same walk, U_S acting on the U_S coset table.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import kernel, linalg
-from .cyclotomic import cyclotomic_poly
-from .finitegroups import (
-    DirectProduct,
-    FiniteGroup,
-    closure,
-    double_coset_representatives,
-    group_from_config,
-    left_coset_representatives,
-)
+from .finitegroups import DirectProduct, FiniteGroup, check_bound, closure, group_from_config
 
 # ---------------------------------------------------------------------------
 # coefficient ring
@@ -62,18 +55,16 @@ class AmRing(kernel.IntPolyRing):
         return sum(a) % self.p**self.m
 
     # -- cyclotomic structure ----------------------------------------------
-    def modulus_poly(self) -> list[int]:
-        return [1] * (self.deg + 1)
-
     def cyclotomic_cofactor(self, t: int) -> tuple:
         """Image of prod_(j > t) Phi_(p^j), the annihilator-module generator
-        of the T^(p^t)-fixed part."""
+        of the T^(p^t)-fixed part.  Phi_(p^j)(T) = (T^(p^j) - 1) /
+        (T^(p^(j-1)) - 1), so the product is (T^(p^m) - 1) / (T^(p^t) - 1),
+        the sum of T^i over the multiples i of p^t below p^m; at t = 0 that
+        is the modulus, and the image is 0."""
         if not 0 <= t <= self.m:
             raise ValueError("t out of range")
-        poly = [1]
-        for j in range(t + 1, self.m + 1):
-            poly = linalg.poly_mul(poly, list(cyclotomic_poly(self.p**j)))
-        return self.from_coeffs(list(reversed(poly)))
+        step = self.p**t
+        return self.from_coeffs([int(i % step == 0) for i in range(self.p**self.m)])
 
     def fixed_module_basis(self, t: int) -> list[tuple]:
         """Basis of the T^(p^t)-fixed submodule: cofactor * T^i, a free
@@ -111,6 +102,10 @@ class FiniteModel:
             raise ValueError(f"p must be prime, got p = {p}")
         if m < 1:
             raise ValueError(f"m must be at least 1, got m = {m}")
+        check_bound((p for _ in range(m)), f"p^m = {p}^{m}")
+        listed = (gamma_p.left, gamma_p.right) if isinstance(gamma_p, DirectProduct) else (gamma_p,)
+        for group in (gamma_s, *listed):  # what the membership tests below list
+            group.check_order()
         self.gamma_s, self.gamma_p = gamma_s, gamma_p
         self.p, self.m = p, m
         self.name = name
@@ -132,7 +127,9 @@ class FiniteModel:
         compares lambda(x*g) with lambda(x) + lambda(g) once on every edge,
         which certifies the homomorphism property exactly.  If Gamma_p = L x
         R and each generator lies in L x 1 or 1 x R, U_p = U_L x U_R and,
-        Z/p^m being abelian, lambda(x, y) = lambda_L(x) + lambda_R(y)."""
+        Z/p^m being abelian, lambda(x, y) = lambda_L(x) + lambda_R(y).
+        orbit_data lists each group walked, so it is checked against
+        ORDER_BOUND first."""
         if len(gen_images) != len(self.u_p_gens):
             raise ValueError("one image per u_p generator required")
         group, mod = self.gamma_p, self.p**self.m
@@ -147,6 +144,7 @@ class FiniteModel:
                 ]
         tables = []
         for factor, gens in walks:
+            factor.check_order()
             table, clashes = closure(
                 factor.identity(),
                 [g for g, _ in gens],
@@ -160,6 +158,11 @@ class FiniteModel:
         return tables
 
     # -- orbits and stabilizers ----------------------------------------------
+    @cached_property
+    def u_s_cosets(self) -> tuple:
+        """The left cosets of U_S in Gamma_S as (lookup, minima), each value 0."""
+        return _left_cosets(self.gamma_s, dict.fromkeys(self.u_s, 0))
+
     @cached_property
     def orbit_data(self):
         """Orbits Delta\\(Gamma_S x Gamma_p)/U, U = U_S x U_p, with
@@ -191,22 +194,15 @@ class FiniteModel:
         mod = self.p**self.m
         parts = [_left_cosets(group, table) for group, table in self._lam_factors]
         p_part = parts[0] if len(parts) == 1 else _coset_product(*parts, mod)
-        s_part = _left_cosets(self.gamma_s, dict.fromkeys(self.u_s, 0))
-        find, mins = _coset_product(s_part, p_part, mod)
-        gens, mul = self.delta_gens, self.product.mul
+        cosets = _coset_product(self.u_s_cosets, p_part, mod)
+        find, mins = cosets
         where: dict = {}  # coset index -> (orbit index, lambda at its minimum)
         reps = []
         stab_exponents = []
         for c0, x0 in enumerate(mins):
             if c0 in where:
                 continue
-            orbit, clashes = closure(
-                c0,
-                gens,
-                lambda c, d: find(mul(d, mins[c]))[0],
-                lambda lam, c, k: (lam - find(mul(gens[k], mins[c]))[1]) % mod,
-                0,
-            )
+            orbit, clashes = _walk_cosets(cosets, self.delta_gens, self.product.mul, c0, mod)
             g = math.gcd(mod, *(a - b for a, b in clashes))
             stab_exponents.append(kernel.vp(g, self.p))
             where.update((c, (len(reps), lam)) for c, lam in orbit.items())
@@ -269,6 +265,21 @@ def _left_cosets(group: FiniteGroup, sub: dict) -> tuple:
             where.update((group.mul(x0, h), (len(mins), v)) for h, v in sub.items())
             mins.append(x0)
     return where.__getitem__, mins
+
+
+def _walk_cosets(cosets: tuple, gens: Sequence, mul, c0: int, mod: int) -> tuple:
+    """The closure of coset c0 of a table cosets = (lookup, minima) under
+    d*(x*H) = (d*x)*H for d in gens, acting on the left.  Each edge to the
+    coset of d*x = x'*h, x' its minimum, carries the value at x minus the
+    table's value at h, mod `mod`; returns closure's values and clashes."""
+    find, mins = cosets
+    return closure(
+        c0,
+        gens,
+        lambda c, d: find(mul(d, mins[c]))[0],
+        lambda lam, c, k: (lam - find(mul(gens[k], mins[c]))[1]) % mod,
+        0,
+    )
 
 
 def _coset_product(left: tuple, right: tuple, mod: int) -> tuple:
@@ -497,23 +508,30 @@ class HeckeOperator:
 
 
 def hecke_operator(model: FiniteModel, gamma) -> HeckeOperator:
-    """Double-coset operator for gamma in the away-from-p factor."""
+    """Double-coset operator for gamma in the away-from-p factor.  U_S's
+    generators walk the U_S coset table on the left from gamma*U_S, and
+    U_S*gamma*U_S is the union of the h*gamma*U_S, h in U_S, so the walk
+    reaches exactly its left cosets; their minima, sorted, are the coset
+    representatives."""
     if gamma not in model.gamma_s:
         raise ValueError("gamma must lie in the away-from-p group")
-    double = {
-        model.gamma_s.mul(model.gamma_s.mul(h1, gamma), h2)
-        for h1 in model.u_s
-        for h2 in model.u_s
-    }
-    reps = left_coset_representatives(model.gamma_s, double, model.u_s)
-    return HeckeOperator(gamma, tuple(reps))
+    find, mins = model.u_s_cosets
+    cosets, _ = _walk_cosets(model.u_s_cosets, model.u_s_gens, model.gamma_s.mul, find(gamma)[0], 1)
+    return HeckeOperator(gamma, tuple(mins[c] for c in sorted(cosets)))
 
 
 def generating_hecke_operators(model: FiniteModel) -> list[HeckeOperator]:
-    return [
-        hecke_operator(model, g)
-        for g in double_coset_representatives(model.gamma_s, model.u_s)
-    ]
+    """One operator per double coset in U_S\\Gamma_S/U_S, by its minimum:
+    the U_S coset minima are taken in increasing order, and as in
+    FiniteModel.orbit_data the first one not yet reached is the minimum of
+    its double coset."""
+    operators: list[HeckeOperator] = []
+    reached: set = set()
+    for x0 in model.u_s_cosets[1]:
+        if x0 not in reached:
+            operators.append(hecke_operator(model, x0))
+            reached.update(operators[-1].coset_reps)
+    return operators
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +591,6 @@ def decompose_rational(space: EquivariantSpace) -> dict:
     if space.kind != AM_PSI:
         raise ValueError("decomposition applies to the full-ring space")
     p, m = space.model.p, space.model.m
-    # the modulus factors as the product of the cyclotomic levels
-    poly = [1]
-    for j in range(1, m + 1):
-        poly = linalg.poly_mul(poly, list(cyclotomic_poly(p**j)))
-    assert poly == space.ring.modulus_poly()
     ranks = {}
     for j in range(1, m + 1):
         ranks[j] = sum(1 for t in space.stab_exponents if t >= j)

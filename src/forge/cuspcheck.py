@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import kernel
 from .cyclotomic import CycloInt
-from .linalg import mat_mod, mat_scale
+from .linalg import mat_add, mat_mod, mat_mul, mat_scale, mat_sub
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
@@ -26,25 +26,6 @@ IDENT: Mat = ((1, 0), (0, 1))
 H: Mat = ((1, 0), (0, -1))
 E: Mat = ((0, 1), (0, 0))
 F: Mat = ((0, 0), (1, 0))
-
-
-def mat_mul(a: Mat, b: Mat, mod: Optional[int] = None) -> Mat:
-    out = (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
-    return mat_mod(out, mod) if mod else out
-
-
-def mat_add(a: Mat, b: Mat, mod: Optional[int] = None) -> Mat:
-    out = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return mat_mod(out, mod) if mod else out
 
 
 def mat_trace(a: Mat):
@@ -73,7 +54,7 @@ class TruncatedMatrix:
         k = min(self.K, other.K)
         a = mat_scale(self.p ** (off - self.offset), self.entries)
         b = mat_scale(self.p ** (off - other.offset), other.entries)
-        return TruncatedMatrix(self.p, k, off, mat_add(a, b, self.p**k))
+        return TruncatedMatrix(self.p, k, off, mat_add(a, b))  # reduced mod p^k on creation
 
     def scale_by_int(self, c: int) -> "TruncatedMatrix":
         return TruncatedMatrix(self.p, self.K, self.offset, mat_scale(c, self.entries))
@@ -133,7 +114,7 @@ def exp_truncated(x: Mat, p: int, K: int) -> Mat:
 def log_truncated(g: Mat, p: int, K: int) -> Mat:
     """Matrix logarithm of 1 + (positive valuation), exact mod p^K."""
     mod = p**K
-    w = mat_mod(mat_add(g, mat_scale(-1, IDENT)), mod)
+    w = mat_mod(mat_sub(g, IDENT), mod)
     vmin = _min_entry_valuation(w, p)
     if vmin < 1:
         raise ValueError("logarithm needs g = 1 mod p")
@@ -258,7 +239,7 @@ class LambdaChar:
         modK = self.seed.p**self.K
         if _det2(g) % modK != 1 % modK:
             return False
-        d = mat_add(g, mat_scale(-1, IDENT))
+        d = mat_sub(g, IDENT)
         return all(x % mod_n == 0 for row in d for x in row)
 
     def value_of_algebra(self, x: Mat) -> int:
@@ -284,7 +265,7 @@ class LambdaChar:
         """
         if not self.contains(g):
             raise ValueError("element outside the character domain")
-        return self.value_of_algebra(mat_add(g, mat_scale(-1, IDENT)))
+        return self.value_of_algebra(mat_sub(g, IDENT))
 
     def generators(self) -> list[Mat]:
         p, n, K = self.seed.p, self.n, self.K
@@ -406,7 +387,7 @@ def unipotent_support_profiles(
                 raise ValueError(f"sample {name} is not unimodular")
             # the only candidate support residue modulo p^n
             t0 = -(g[0][1] if parabolic == "upper" else g[1][0]) % mod_n
-            d = mat_add(mat_mul(g, _unipotent(parabolic, t0), mod), mat_scale(-1, IDENT))
+            d = mat_sub(mat_mul(g, _unipotent(parabolic, t0), mod), IDENT)
             supported = all(v % mod_n == 0 for row in d for v in row)
             out.append(
                 {

@@ -1,4 +1,4 @@
-"""Cyclotomic polynomials over Z and exact arithmetic in Z[zeta_{p^k}].
+"""Exact arithmetic in Z[zeta_{p^k}], the ring of cyclotomic integers.
 
 Elements of Z[zeta_{p^k}] are held as exponent-count vectors of length p^k
 (coefficient of zeta^e at index e) and compared through a canonical form:
@@ -12,24 +12,6 @@ element is zero.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-
-from .linalg import poly_divmod
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(d: int) -> tuple[int, ...]:
-    """Integer coefficients of the d-th cyclotomic polynomial, degree-first."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    num = [1] + [0] * (d - 1) + [-1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            q, r = poly_divmod(num, list(cyclotomic_poly(e)))
-            assert not any(r)
-            num = q
-    return tuple(num)
 
 
 class CycloInt:

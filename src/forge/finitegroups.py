@@ -1,15 +1,29 @@
 """Small finite groups with explicit element sets.
 
 Just enough structure for equivariant-function models: symmetric, cyclic
-and Heisenberg groups, direct products, generated subgroups, coset
-bookkeeping, and the breadth-first closure walk they and the models share.  Elements are hashable tuples/ints with a total order so that
-coset representatives and reports are deterministic.
+and Heisenberg groups, direct products, generated subgroups, a bound on the
+groups a model lists, and the breadth-first closure walk they and the models
+share.  Elements are hashable tuples/ints with a total order so that coset
+representatives and reports are deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+ORDER_BOUND = 10**6  # the largest order of a group a model lists, and of p^m
+
+
+def check_bound(factors: Iterable[int], what) -> None:
+    """ValueError naming ORDER_BOUND when the product of `factors` is above
+    it.  The product stops there: n! by n = 10, p^m by m = 20."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > ORDER_BOUND:
+            raise ValueError(f"order bound exceeded: {what} is above ORDER_BOUND = {ORDER_BOUND}")
 
 
 def closure(
@@ -44,29 +58,22 @@ def closure(
 
 
 class FiniteGroup:
-    """Base: subclasses define identity, mul and elements."""
-
-    def identity(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    """Base: subclasses define identity(), mul(a, b), _elements(),
+    order_factors() (whose product is the order) and to_config()."""
 
     @cached_property
     def elements(self) -> tuple:
         return tuple(sorted(self._elements()))
 
-    def _elements(self) -> Iterable:
-        raise NotImplementedError
-
     def __contains__(self, x) -> bool:
         return x in set(self.elements)
 
+    def check_order(self) -> None:
+        """ValueError naming ORDER_BOUND if |G| is above it; nothing listed."""
+        check_bound(self.order_factors(), f"the order of {self.to_config()}")
+
     def generated_subgroup(self, gens: Iterable) -> tuple:
         return tuple(sorted(closure(self.identity(), list(gens), self.mul)[0]))
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
 
 
 class SymmetricGroup(FiniteGroup):
@@ -83,9 +90,10 @@ class SymmetricGroup(FiniteGroup):
         return tuple(a[b[i]] for i in range(self.n))
 
     def _elements(self):
-        import itertools
-
         return itertools.permutations(range(self.n))
+
+    def order_factors(self):
+        return range(2, self.n + 1)
 
     def to_config(self):
         return {"kind": "symmetric", "n": self.n}
@@ -103,6 +111,9 @@ class CyclicGroup(FiniteGroup):
 
     def _elements(self):
         return range(self._order)
+
+    def order_factors(self):
+        return [self._order]
 
     def to_config(self):
         return {"kind": "cyclic", "order": self._order}
@@ -126,6 +137,9 @@ class HeisenbergGroup(FiniteGroup):
         p = self.p
         return ((a, b, c) for a in range(p) for b in range(p) for c in range(p))
 
+    def order_factors(self):
+        return [self.p] * 3
+
     def to_config(self):
         return {"kind": "heisenberg", "p": self.p}
 
@@ -144,6 +158,9 @@ class DirectProduct(FiniteGroup):
     def _elements(self):
         return ((x, y) for x in self.left.elements for y in self.right.elements)
 
+    def order_factors(self):
+        return itertools.chain(self.left.order_factors(), self.right.order_factors())
+
     def __contains__(self, x) -> bool:  # factor by factor, the product unlisted
         return isinstance(x, tuple) and len(x) == 2 and x[0] in self.left and x[1] in self.right
 
@@ -156,44 +173,18 @@ class DirectProduct(FiniteGroup):
 
 
 def group_from_config(config: dict) -> FiniteGroup:
+    """The group a config encodes, each factor that is no product checked
+    against ORDER_BOUND before anything is listed."""
     kind = config["kind"]
     if kind == "symmetric":
-        return SymmetricGroup(config["n"])
-    if kind == "cyclic":
-        return CyclicGroup(config["order"])
-    if kind == "heisenberg":
-        return HeisenbergGroup(config["p"])
-    if kind == "product":
-        return DirectProduct(
-            group_from_config(config["left"]), group_from_config(config["right"])
-        )
-    raise ValueError(f"unknown group kind {kind!r}")
-
-
-def left_coset_representatives(
-    group: FiniteGroup, double_coset: Iterable, subgroup: Iterable
-) -> list:
-    """Decompose a union of left cosets g*H into representatives."""
-    remaining = set(double_coset)
-    reps = []
-    while remaining:
-        g = min(remaining)
-        reps.append(g)
-        for h in subgroup:
-            remaining.discard(group.mul(g, h))
-    return reps
-
-
-def double_coset_representatives(group: FiniteGroup, subgroup: Iterable) -> list:
-    """Representatives of H\\G/H, smallest element first."""
-    sub = list(subgroup)
-    remaining = set(group.elements)
-    reps = []
-    while remaining:
-        g = min(remaining)
-        reps.append(g)
-        for h1 in sub:
-            gh = group.mul(h1, g)
-            for h2 in sub:
-                remaining.discard(group.mul(gh, h2))
-    return reps
+        group = SymmetricGroup(config["n"])
+    elif kind == "cyclic":
+        group = CyclicGroup(config["order"])
+    elif kind == "heisenberg":
+        group = HeisenbergGroup(config["p"])
+    elif kind == "product":
+        return DirectProduct(group_from_config(config["left"]), group_from_config(config["right"]))
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    group.check_order()
+    return group

@@ -77,35 +77,6 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of integer polynomials, highest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials (highest degree first), b monic-leading."""
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    q = []
-    while len(a) - 1 >= db:
-        if a[0] % lb != 0:
-            raise ValueError("non-exact leading division")
-        c = a[0] // lb
-        q.append(c)
-        for j in range(len(b)):
-            a[j] -= c * b[j]
-        assert a[0] == 0
-        a.pop(0)
-    while len(a) > 1 and a[0] == 0:
-        a.pop(0)
-    return (q if q else [0]), a
-
-
 def solve_unit_pivot(b: Matrix, vs: Sequence[Vector], p: int, k: int) -> list[Vector]:
     """Solve B*c = v over Z/p^K for every v in vs, B with unit-pivot (mod p)
     column space; one elimination serves all right-hand sides.

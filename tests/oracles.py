@@ -1,29 +1,32 @@
 """Test-side copies of API that forge itself does not call.
 
-The matrix-vector product, a finite field's elements in encoding order and
-its norm as the product of the n conjugates, Weyl-element helpers (orders,
-images of coroots, eigenvalue exponents, the highest coroot, the Coxeter
-number of a product), the coroot set as a reflection closure, genericity
-rows as direct sums, the modulus search without its binomial skip, the
-transform-support check on an arbitrary functional with its full
-enumeration, and a congruence model's level group
-U_p, its character on every element of U_p by one walk over Gamma_p, its
-base set Delta\\(Gamma_S x Gamma_p) with the right action on it, and its
-Hecke matrix counted point by point.  The tests use them as oracles and to state
-acceptance criteria 02, 05 and 11.
+The matrix-vector product; integer polynomial product and division with
+remainder, and the cyclotomic polynomials Phi_d built from them; a finite
+field's elements in encoding order and its norm as the product of the n
+conjugates; Weyl-element helpers (orders, images of coroots, eigenvalue
+exponents, the highest coroot, the Coxeter number of a product); the
+coroot set as a reflection closure; genericity rows as direct sums; the
+modulus search without its binomial skip; the transform-support check on
+an arbitrary functional with its full enumeration; a congruence model's
+level group U_p, its character on every element of U_p by one walk over
+Gamma_p, its base set Delta\\(Gamma_S x Gamma_p) with the right action on
+it and its Hecke matrix counted point by point; and the double cosets
+H\\G/H and the left cosets of a double coset, each found by scanning an
+element set.  The tests use them as oracles and to state acceptance
+criteria 02, 05 and 11.
 """
 
 import functools
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from forge import kernel, linalg
 from forge.congruence import FiniteModel
 from forge.cuspcheck import EllipticSeed, TruncatedMatrix, vp
-from forge.cyclotomic import CycloInt, cyclotomic_poly
+from forge.cyclotomic import CycloInt
 from forge.ffield import FieldExtension
-from forge.finitegroups import closure
+from forge.finitegroups import FiniteGroup, closure
 from forge.linalg import Matrix, Vector
 from forge.rootsys import Coroot, RootSystem, WeylElement, coxeter_number
 from forge.toraldata import CorootRow, GenericityReport, ZeroToralDatum
@@ -35,6 +38,50 @@ from forge.toraldata import CorootRow, GenericityReport, ZeroToralDatum
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer polynomials, highest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Divide integer polynomials (highest degree first), b monic-leading."""
+    a = list(a)
+    db, lb = len(b) - 1, b[0]
+    q = []
+    while len(a) - 1 >= db:
+        if a[0] % lb != 0:
+            raise ValueError("non-exact leading division")
+        c = a[0] // lb
+        q.append(c)
+        for j in range(len(b)):
+            a[j] -= c * b[j]
+        assert a[0] == 0
+        a.pop(0)
+    while len(a) > 1 and a[0] == 0:
+        a.pop(0)
+    return (q if q else [0]), a
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_poly(d: int) -> tuple[int, ...]:
+    """Integer coefficients of the d-th cyclotomic polynomial, degree-first:
+    x^d - 1 divided by Phi_e for every proper divisor e of d."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    num = [1] + [0] * (d - 1) + [-1]  # x^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            q, r = poly_divmod(num, list(cyclotomic_poly(e)))
+            assert not any(r)
+            num = q
+    return tuple(num)
 
 
 def field_elements(ext: FieldExtension):
@@ -147,7 +194,7 @@ def cyclotomic_exponents(w: WeylElement, order: int) -> tuple[int, ...]:
             continue
         phi = list(cyclotomic_poly(d))
         while len(poly) >= len(phi):
-            q, r = linalg.poly_divmod(poly, phi)
+            q, r = poly_divmod(poly, phi)
             if any(r):
                 break
             poly = q
@@ -327,3 +374,41 @@ def hecke_by_enumeration(model: FiniteModel, coset_reps) -> Matrix:
         for g in coset_reps:
             row[orbit_of[act(model, z, (g, ep))]] += 1
     return linalg.mat_freeze([[c % model.p**model.m for c in row] for row in rows])
+
+
+def left_coset_representatives(
+    group: FiniteGroup, double_coset: Iterable, subgroup: Iterable
+) -> list:
+    """Decompose a union of left cosets g*H into representatives, each the
+    least element left, by scanning the set."""
+    remaining = set(double_coset)
+    reps = []
+    while remaining:
+        g = min(remaining)
+        reps.append(g)
+        for h in subgroup:
+            remaining.discard(group.mul(g, h))
+    return reps
+
+
+def double_coset_representatives(group: FiniteGroup, subgroup: Iterable) -> list:
+    """Representatives of H\\G/H, smallest element first, by scanning G."""
+    sub = list(subgroup)
+    remaining = set(group.elements)
+    reps = []
+    while remaining:
+        g = min(remaining)
+        reps.append(g)
+        for h1 in sub:
+            gh = group.mul(h1, g)
+            for h2 in sub:
+                remaining.discard(group.mul(gh, h2))
+    return reps
+
+
+def hecke_by_scan(model: FiniteModel, gamma) -> tuple:
+    """The coset representatives of [U_S gamma U_S] from the |U_S|^2
+    products and a scan of that set."""
+    g, u_s = model.gamma_s, model.u_s
+    double = {g.mul(g.mul(h1, gamma), h2) for h1 in u_s for h2 in u_s}
+    return tuple(left_coset_representatives(g, double, u_s))

@@ -30,11 +30,11 @@ from forge.cuspcheck import (
     fourier_support_check,
     lambda_character,
     log_truncated,
-    mat_mul,
     unipotent_support_profiles,
     x_class_representatives,
 )
 from forge.depthcalc import character_image_order, unramified_torus_lattice
+from forge.linalg import mat_mul
 from forge.rootsys import (
     RootSystemType,
     build_root_system,

@@ -400,6 +400,53 @@ def test_model_config_report_bytes(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MODEL_REPORT_SHA256[name]
 
 
+# in a child capped at 2 GiB of address space, so that a model file that
+# makes forge list a huge group fails the test instead of exhausting memory
+_BOUNDED_CHILD = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from forge.cli import main
+out = []
+for path in sys.argv[2:]:
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(["congruence", "--model-config", path, "-o", sys.argv[1]])
+    out.append([code, time.perf_counter() - start, err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_model_config_over_the_order_bound_exits_two(tmp_path):
+    """Each edit makes a group the model lists, or p^m, far larger than
+    ORDER_BOUND; each exits 2 naming the bound in under a second."""
+    from forge.congruence import builtin_cyclic_model, builtin_free_model
+
+    edits = [
+        (builtin_cyclic_model, ["gamma_p", "order"], 10**30),
+        (builtin_cyclic_model, ["gamma_p", "order"], 5**12),
+        (builtin_cyclic_model, ["gamma_s", "n"], 10**30),
+        (builtin_free_model, ["gamma_p", "left", "p"], 10**30),
+        (builtin_cyclic_model, ["m"], 10**30),
+    ]
+    paths = []
+    for i, (build, keys, value) in enumerate(edits):
+        config = build(5, 2).to_config()
+        _set(keys, value)(config)
+        paths.append(tmp_path / f"model{i}.json")
+        paths[-1].write_text(json.dumps(config))
+    out = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CHILD, str(tmp_path / "r.json"), *map(str, paths)],
+        env=_forge_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    for (code, seconds, err), edit in zip(json.loads(out.stdout), edits):
+        assert code == 2, (edit, err)
+        assert err.startswith("error: order bound exceeded") and "ORDER_BOUND = 1000000" in err, err
+        assert seconds < 1, (edit, seconds)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cusp_cli_small(tmp_path):
     out = tmp_path / "cusp.json"
     code = main(

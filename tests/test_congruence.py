@@ -38,7 +38,17 @@ from forge.finitegroups import (
     SymmetricGroup,
     closure,
 )
-from oracles import act, base_set, hecke_by_enumeration, lambda_by_walk, u_p_elements
+from oracles import (
+    act,
+    base_set,
+    cyclotomic_poly,
+    double_coset_representatives,
+    hecke_by_enumeration,
+    hecke_by_scan,
+    lambda_by_walk,
+    poly_mul,
+    u_p_elements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +134,21 @@ def test_fixed_module_bases():
     assert len(ring.fixed_module_basis(1)) == 2
     assert len(ring.fixed_module_basis(2)) == 8
     # degree bookkeeping of the cyclotomic factorization: 2 + 6 = 8
-    from forge.cyclotomic import cyclotomic_poly
-
     assert len(cyclotomic_poly(3)) - 1 == 2
     assert len(cyclotomic_poly(9)) - 1 == 6
+
+
+def test_cyclotomic_cofactor_is_the_product_of_levels():
+    # the modulus 1 + T + ... + T^(p^m - 1) is prod_(j <= m) Phi_(p^j), and
+    # the cofactor is the image of prod_(j > t) Phi_(p^j), both by the oracle
+    for p in (2, 3, 5, 7):
+        for m in (1, 2, 3):
+            ring = AmRing(p, m)
+            levels = [list(cyclotomic_poly(p**j)) for j in range(1, m + 1)]
+            assert functools.reduce(poly_mul, levels) == [1] * p**m, (p, m)
+            for t in range(m + 1):
+                cofactor = functools.reduce(poly_mul, levels[t:], [1])
+                assert ring.cyclotomic_cofactor(t) == ring.from_coeffs(cofactor[::-1]), (p, m, t)
 
 
 def test_fixed_module_basis_is_the_mul_chain():
@@ -163,6 +184,33 @@ def test_lambda_homomorphism_rejects_bad_images():
 def test_model_rejects_generators_outside_their_group(u_s, u_p, delta):
     with pytest.raises(ValueError, match="not an element of its group"):
         FiniteModel(SymmetricGroup(3), CyclicGroup(9), u_s, u_p, [1], 3, 2, delta_gens=delta)
+
+
+def test_order_bound_admits_the_bound_and_no_more():
+    from forge.finitegroups import ORDER_BOUND
+
+    assert ORDER_BOUND == 10**6
+    for group in (SymmetricGroup(9), CyclicGroup(10**6), HeisenbergGroup(100)):
+        group.check_order()  # 362,880 and 10^6 elements: at or under the bound
+    for group in (SymmetricGroup(10), CyclicGroup(10**6 + 1), HeisenbergGroup(101)):
+        with pytest.raises(ValueError, match="ORDER_BOUND"):
+            group.check_order()
+    with pytest.raises(ValueError, match="ORDER_BOUND"):
+        FiniteModel(SymmetricGroup(10**30), CyclicGroup(9), [], [1], [1], 3, 2)
+    with pytest.raises(ValueError, match="ORDER_BOUND"):
+        FiniteModel(SymmetricGroup(3), CyclicGroup(9), [], [1], [1], 3, 10**30)
+
+
+def test_order_bound_holds_for_the_groups_a_model_lists():
+    # Z/1000 x Z/1001 has 1,001,000 elements: listed when lambda is walked
+    # on it whole, never when lambda is split and its factors are listed
+    s3, swap = SymmetricGroup(3), (1, 0, 2)
+    gamma_p = DirectProduct(CyclicGroup(1000), CyclicGroup(1001))
+    with pytest.raises(ValueError, match="ORDER_BOUND"):
+        FiniteModel(s3, gamma_p, [swap], [(1, 1)], [1], 2, 3)
+    model = FiniteModel(s3, gamma_p, [swap], [(1, 0), (0, 1)], [1, 0], 2, 3)
+    assert len(model.orbit_data[0]) == 3
+    assert "elements" not in vars(gamma_p)
 
 
 def test_free_model_orbits_are_cosets():
@@ -497,6 +545,66 @@ def test_hecke_matrices_match_the_enumeration():
         for op in generating_hecke_operators(model):
             expect = hecke_by_enumeration(model, op.coset_reps)
             assert op.matrix(triv) == op.matrix(quot) == expect, (model.name, op.gamma)
+
+
+def coset_walk_models() -> list:
+    """The builtin, Delta and hand-built models, and U_S in Gamma_S beyond
+    them: trivial, non-normal and normal in S_3 and S_4, subgroups of Z/12
+    and of Heis(3), and U_S in S_3 x Z/4 inside one factor or neither."""
+    s3, s4 = SymmetricGroup(3), SymmetricGroup(4)
+    pairs = [
+        (s3, []),
+        (s3, [(1, 0, 2)]),
+        (s3, [(1, 2, 0)]),
+        (s3, [(1, 0, 2), (1, 2, 0)]),
+        (s4, []),
+        (s4, [(1, 0, 2, 3)]),
+        (s4, [(1, 2, 3, 0)]),
+        (s4, [(1, 0, 2, 3), (0, 1, 3, 2)]),
+        (s4, [(1, 0, 3, 2), (2, 3, 0, 1)]),  # the normal Klein four-group
+        (s4, [(1, 2, 0, 3), (0, 2, 3, 1)]),  # A_4
+        (CyclicGroup(12), []),
+        (CyclicGroup(12), [4]),
+        (CyclicGroup(12), [3, 2]),
+        (HeisenbergGroup(3), [(1, 0, 0)]),
+        (HeisenbergGroup(3), [(0, 0, 1)]),
+        (HeisenbergGroup(3), [(1, 0, 0), (0, 1, 1)]),
+        (DirectProduct(s3, CyclicGroup(4)), [((1, 0, 2), 0)]),
+        (DirectProduct(s3, CyclicGroup(4)), [((1, 0, 2), 1)]),
+        (DirectProduct(s3, CyclicGroup(4)), [((1, 2, 0), 2), ((0, 1, 2), 1)]),
+    ]
+    builtin = [
+        build(3, m)
+        for m in (1, 2)
+        for build in (
+            builtin_free_model,
+            builtin_nonfree_model,
+            builtin_cyclic_model,
+            builtin_zero_lambda_model,
+        )
+    ]
+    extra = [
+        FiniteModel(group, CyclicGroup(2), gens, [1], [1], 2, 1, name=f"coset-pair-{i}")
+        for i, (group, gens) in enumerate(pairs)
+    ]
+    return [*builtin, *delta_models(), hand_built_model(), *extra]
+
+
+def test_hecke_operators_equal_the_scanning_oracles():
+    # the walk on the U_S coset table gives the operators, their order and
+    # each operator's left cosets exactly as scanning the element sets does
+    for model in coset_walk_models():
+        want = [
+            (g, hecke_by_scan(model, g))
+            for g in double_coset_representatives(model.gamma_s, model.u_s)
+        ]
+        got = [(op.gamma, op.coset_reps) for op in generating_hecke_operators(model)]
+        assert got == want, model.name
+        for gamma in model.gamma_s.elements:
+            assert hecke_operator(model, gamma).coset_reps == hecke_by_scan(model, gamma), (
+                model.name,
+                gamma,
+            )
 
 
 def test_gamma_must_be_away_from_p():

@@ -1,7 +1,7 @@
 """The arithmetic kernel against independent oracles.
 
 Products are checked against the product over Z reduced with
-`linalg.poly_divmod` and then taken mod N; the moduli have the shapes the
+`oracles.poly_divmod` and then taken mod N; the moduli have the shapes the
 callers use: the F_q modulus over F_p, its lift to GR(p^K, f), the all-ones
 modulus of the cyclotomic-level ring, x^e - p over GR(p^K, f), and the
 F_{q^n} modulus over F_q with q = p^f.
@@ -18,15 +18,15 @@ from sympy.polys.subresultants_qq_zz import sylvester
 
 from forge import kernel, linalg
 from forge.ffield import PrimeField, build_extension
-from oracles import mat_vec, smallest_irreducible_walk
+from oracles import mat_vec, poly_divmod, poly_mul, smallest_irreducible_walk
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _oracle(a, b, modulus, N):
     """a * b mod (modulus, N) through Z; all polynomials little-endian."""
-    prod = linalg.poly_mul(a[::-1], b[::-1])
-    _, rem = linalg.poly_divmod(prod, modulus[::-1])
+    prod = poly_mul(a[::-1], b[::-1])
+    _, rem = poly_divmod(prod, modulus[::-1])
     rem = [c % N for c in reversed(rem)]
     deg = len(modulus) - 1
     return tuple(rem + [0] * (deg - len(rem)))
@@ -64,7 +64,7 @@ def test_int_ring_reduce_takes_any_length(shape, data):
     modulus, N = shape
     ring = kernel.IntPolyRing(modulus, N)
     coeffs = data.draw(st.lists(st.integers(-3 * N, 3 * N), min_size=1, max_size=3 * ring.deg))
-    _, rem = linalg.poly_divmod(coeffs[::-1], modulus[::-1])
+    _, rem = poly_divmod(coeffs[::-1], modulus[::-1])
     want = [c % N for c in reversed(rem)]
     assert ring.reduce(list(coeffs)) == tuple(want + [0] * (ring.deg - len(want)))
 
@@ -92,11 +92,11 @@ def _bivariate_oracle(a, b, g, h, N):
     prod = [[0] for _ in range(len(a) + len(b) - 1)]
     for k1, u in enumerate(a):
         for k2, v in enumerate(b):
-            prod[k1 + k2] = _y_add(prod[k1 + k2], linalg.poly_mul(u, v))
+            prod[k1 + k2] = _y_add(prod[k1 + k2], poly_mul(u, v))
     for k in range(len(prod) - 1, e - 1, -1):
         # x^k = x^(k - e) * (x^e - h) over the lower terms of h
         for j in range(e):
-            prod[k - e + j] = _y_add(prod[k - e + j], linalg.poly_mul([-c for c in prod[k]], h[j]))
+            prod[k - e + j] = _y_add(prod[k - e + j], poly_mul([-c for c in prod[k]], h[j]))
     return tuple(_oracle(tuple(row), (1,), g, N) for row in prod[:e])
 
 
