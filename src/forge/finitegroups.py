@@ -65,8 +65,12 @@ class FiniteGroup:
     def elements(self) -> tuple:
         return tuple(sorted(self._elements()))
 
-    def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+    @cached_property
+    def _element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
+    def __contains__(self, x) -> bool:  # the group listed once, on the first test
+        return x in self._element_set
 
     def check_order(self) -> None:
         """ValueError naming ORDER_BOUND if |G| is above it; nothing listed."""

@@ -115,8 +115,10 @@ class RootSystem:
 
     `by_height` lists the positive coroots in height order as triples
     (coroot, parent, j): the coroot is by_height[parent] + alpha_j^vee, or
-    alpha_j^vee when parent is None.  `coroots` is sorted: negative coroots
-    sort below positive ones and negation reverses the order."""
+    alpha_j^vee when parent is None.  `positive_coroots` is their sorted
+    set, positive_coroots[k] = by_height[height_order[k]][0].  `coroots` is
+    sorted: negative coroots sort below positive ones and negation reverses
+    the order."""
 
     def __init__(self, rs_type: RootSystemType):
         self.type = rs_type
@@ -124,7 +126,8 @@ class RootSystem:
         self.cartan = cartan_matrix(rs_type)
         self.simple_coroots = tuple(Coroot(e) for e in linalg.identity(self.rank))
         self.by_height = self._by_height()
-        self.positive_coroots = tuple(sorted((c for c, _, _ in self.by_height), key=lambda c: c.expansion))
+        self.height_order = tuple(sorted(range(len(self.by_height)), key=lambda k: self.by_height[k][0].expansion))
+        self.positive_coroots = tuple(self.by_height[k][0] for k in self.height_order)
         negative = tuple(Coroot(tuple(-x for x in c.expansion)) for c in reversed(self.positive_coroots))
         self.coroots = negative + self.positive_coroots
 

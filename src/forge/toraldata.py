@@ -17,10 +17,10 @@ iff that residue sum is nonzero: genericity is one linear sum per coroot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernel, linalg
 from .ffield import FieldExtension, build_extension
@@ -166,6 +166,11 @@ def lattice_cocycle(rs: RootSystem, delta: DiagramAutomorphism, case: str) -> We
     return w
 
 
+@lru_cache(maxsize=None)
+def minus_identity(rank: int) -> linalg.Matrix:
+    return linalg.mat_scale(-1, linalg.identity(rank))
+
+
 # ---------------------------------------------------------------------------
 # data
 # ---------------------------------------------------------------------------
@@ -203,22 +208,24 @@ class ZeroToralDatum:
             )
         if self.cocycle != lattice_cocycle(self.rs, self.delta, self.case):
             raise ValueError(f"cocycle is not the lattice action of case {self.case}")
-        if not (Fraction(self.n) < self.depth <= Fraction(self.n + 1)):
+        a, b = self.depth.numerator, self.depth.denominator
+        if not self.n * b < a <= (self.n + 1) * b:
             raise ValueError("depth outside the admissible window")
-        if (self.depth * self.ext.ram_index).denominator != 1:
+        if self.ext.ram_index % b:
             raise ValueError("depth times e(E/F) must be an integer")
 
     def _sigma_action(self) -> linalg.Matrix:
         """Lattice action of the distinguished generator used for descent."""
         if self.case.startswith("Case1"):
-            return linalg.mat_scale(-1, linalg.identity(self.rs.rank))
+            return minus_identity(self.rs.rank)
         return self.cocycle.matrix
 
     def descent_equations(self) -> list[tuple[str, linalg.Matrix, tuple, int]]:
         """(label, lattice matrix, unit factor on the twisted side, frobenius power)."""
         ext = self.ext
-        re_power = int(self.depth * ext.ram_index)
-        c_eff = ext.residue.pow(ext.unif_ratio, re_power)
+        re_power = self.depth.numerator * ext.ram_index // self.depth.denominator
+        one = ext.residue.one()  # 1^re_power = 1 on the unramified route
+        c_eff = one if ext.unif_ratio == one else ext.residue.pow(ext.unif_ratio, re_power)
         eqs = [("sigma", self._sigma_action(), c_eff, ext.frobenius_power())]
         if (
             self.case.startswith("Case1")
@@ -290,19 +297,17 @@ def datum_from_json(text: str) -> ZeroToralDatum:
     return datum
 
 
-@dataclass(frozen=True)
-class DescentRow:
+class DescentRow(NamedTuple):
     equation: str
     index: int  # 1-based simple coroot index
-    lhs: Optional[list]
-    rhs: Optional[list]
+    lhs: tuple  # elements of the report's residue field
+    rhs: tuple
     ok: bool
 
 
-@dataclass(frozen=True)
-class CorootRow:
+class CorootRow(NamedTuple):
     expansion: tuple[int, ...]
-    residue: list
+    residue: tuple  # an element of the report's residue field
     ok: bool
 
 
@@ -311,6 +316,7 @@ class GenericityReport:
     coroot_rows: tuple[CorootRow, ...]
     descent_rows: tuple[DescentRow, ...]
     notes: tuple[str, ...] = ()
+    field: Optional[FieldExtension] = None  # every row's residue field; to_json_dict encodes
 
     @property
     def genericity_ok(self) -> bool:
@@ -334,15 +340,17 @@ class GenericityReport:
             self.coroot_rows + other.coroot_rows,
             self.descent_rows + other.descent_rows,
             self.notes + other.notes,
+            self.field or other.field,
         )
 
     def to_json_dict(self) -> dict:
+        enc = self.field.element_to_json if self.field else None
         return {
             "verdict": "pass" if self.verdict else "fail",
             "genericity": [
                 {
                     "expansion": list(r.expansion),
-                    "residue": r.residue,
+                    "residue": enc(r.residue),
                     "ok": r.ok,
                 }
                 for r in self.coroot_rows
@@ -351,8 +359,8 @@ class GenericityReport:
                 {
                     "equation": r.equation,
                     "index": r.index,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
+                    "lhs": enc(r.lhs),
+                    "rhs": enc(r.rhs),
                     "ok": r.ok,
                 }
                 for r in self.descent_rows
@@ -376,26 +384,20 @@ def verify_galois_descent(d: ZeroToralDatum) -> GenericityReport:
     notes = []
     for label, m, c_eff, frob_k in d.descent_equations():
         for i, col in enumerate(zip(*m)):
-            lhs = res_field.mul(c_eff, res_field.frobenius(d.coords[i], frob_k))
+            lhs = res_field.frobenius(d.coords[i], frob_k)
+            if c_eff != res_field.one():
+                lhs = res_field.mul(c_eff, lhs)
             rhs = res_field.zero()
             for j, mu in enumerate(col):
                 if mu:
                     rhs = res_field.add(rhs, res_field.smul(mu, d.coords[j]))
-            rows.append(
-                DescentRow(
-                    label,
-                    i + 1,
-                    res_field.element_to_json(lhs),
-                    res_field.element_to_json(rhs),
-                    lhs == rhs,
-                )
-            )
+            rows.append(DescentRow(label, i + 1, lhs, rhs, lhs == rhs))
         if label == "tau":
             notes.append(
                 "nontrivial form component on a D-even lattice: only the split "
                 "route (independent quadratic twist) is certified"
             )
-    return GenericityReport((), tuple(rows), tuple(notes))
+    return GenericityReport((), tuple(rows), tuple(notes), res_field)
 
 
 def verify_genericity(d: ZeroToralDatum) -> GenericityReport:
@@ -411,12 +413,12 @@ def verify_genericity(d: ZeroToralDatum) -> GenericityReport:
     value = []
     for _, parent, j in rs.by_height:
         value.append(d.coords[j] if parent is None else res.add(value[parent], d.coords[j]))
-    positive = [v for _, v in sorted(zip([c.expansion for c, _, _ in rs.by_height], value))]
+    positive = [value[k] for k in rs.height_order]
     rows = [
-        CorootRow(c.expansion, res.element_to_json(v), not res.is_zero(v))
+        CorootRow(c.expansion, v, not res.is_zero(v))
         for c, v in zip(rs.coroots, [res.neg(v) for v in reversed(positive)] + positive)
     ]
-    return GenericityReport(tuple(rows), ())
+    return GenericityReport(tuple(rows), (), (), res)
 
 
 def verify_datum(d: ZeroToralDatum) -> GenericityReport:
@@ -494,6 +496,44 @@ def build_e6_coordinates(variant: str, p: int, f: int) -> tuple[ExtensionSpec, l
     raise ValueError(f"unknown variant {variant!r}")
 
 
+@lru_cache(maxsize=None)
+def form_data(rs: RootSystem, delta: DiagramAutomorphism, p: int, q: int, ramified: bool) -> tuple:
+    """(case, extension, coordinates, cocycle) of the form, the same for
+    every depth window n.  Cached: the sweep builds each form at n = 1, 2.
+    It holds inputs only; every datum built from them is verified."""
+    if not kernel.is_prime(p):
+        raise ValueError(f"p must be a prime, got p = {p}")
+    f = kernel.vp(q, p) if q else 0
+    if f < 1 or p**f != q:
+        raise ValueError("q must be a power of p")
+    cox = coxeter_number(rs.type)
+    if p <= cox:
+        raise ValueError(f"requires p > Cox = {cox}")
+    case = lattice_case(rs, delta, ramified)
+    if case == "E6-ram" and q % 3 != 1:
+        raise ValueError("ramified cubic requested but q != 1 mod 3")
+    if case == "E6-unram" and q % 3 == 1:
+        case = "E6-ram"  # q = 1 mod 3 has only the ramified variant
+
+    if case == "Case1-ram":
+        spec = ExtensionSpec.ramified_quadratic(p, f)
+        coords = (spec.residue.one(),) * rs.rank
+    elif case == "Case1-unram":
+        spec = ExtensionSpec.unramified(p, f, residue_degree(case, rs.rank))
+        coords = (spec.residue.find_trace_zero_generator(),) * rs.rank
+    elif case == "A":
+        spec = ExtensionSpec.unramified(p, f, residue_degree(case, rs.rank))
+        a = spec.residue.find_trace_zero_generator()
+        coords = [spec.residue.frobenius(a, i) for i in range(rs.rank)]
+    elif case == "Dodd":
+        spec, coords = build_dodd_coordinates(rs.rank, p, f)
+    elif case == "E6-ram":
+        spec, coords = build_e6_coordinates("ramified_cubic", p, f)
+    else:
+        spec, coords = build_e6_coordinates("unramified_cubic", p, f)
+    return case, spec, tuple(coords), lattice_cocycle(rs, delta, case)
+
+
 def build_generic_element(
     rs_type: RootSystemType,
     delta: Optional[DiagramAutomorphism],
@@ -503,50 +543,17 @@ def build_generic_element(
     ramified: bool = False,
 ) -> ZeroToralDatum:
     """Construct a datum for the requested form, in the case `lattice_case`
-    gives; for E6, q = 1 mod 3 selects the ramified variant."""
-    q = p if q is None else q
-    if not kernel.is_prime(p):
-        raise ValueError(f"p must be a prime, got p = {p}")
-    f = kernel.vp(q, p) if q else 0
-    if f < 1 or p**f != q:
-        raise ValueError("q must be a power of p")
-    cox = coxeter_number(rs_type)
-    if p <= cox:
-        raise ValueError(f"requires p > Cox = {cox}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    gives; for E6, q = 1 mod 3 selects the ramified variant.  The depth is
+    n + 1/e(E/F): n + 1, or n + 1/2 and n + 1/3 in the ramified cases."""
     rs = build_root_system(rs_type)
     delta = delta if delta is not None else trivial_automorphism(rs)
-    case = lattice_case(rs, delta, ramified)
-    if case == "E6-ram" and q % 3 != 1:
-        raise ValueError("ramified cubic requested but q != 1 mod 3")
-    if case == "E6-unram" and q % 3 == 1:
-        case = "E6-ram"  # q = 1 mod 3 has only the ramified variant
-
-    depth = Fraction(n + 1)
-    if case == "Case1-ram":
-        spec = ExtensionSpec.ramified_quadratic(p, f)
-        coords = (spec.residue.one(),) * rs.rank
-        depth = Fraction(2 * n + 1, 2)
-    elif case == "Case1-unram":
-        spec = ExtensionSpec.unramified(p, f, residue_degree(case, rs.rank))
-        coords = (spec.residue.find_trace_zero_generator(),) * rs.rank
-    elif case == "A":
-        spec = ExtensionSpec.unramified(p, f, residue_degree(case, rs.rank))
-        a = spec.residue.find_trace_zero_generator()
-        coords = [spec.residue.frobenius(a, i) for i in range(rs_type.rank)]
-    elif case == "Dodd":
-        spec, coords = build_dodd_coordinates(rs_type.rank, p, f)
-    elif case == "E6-ram":
-        spec, coords = build_e6_coordinates("ramified_cubic", p, f)
-        depth = Fraction(3 * n + 1, 3)
-    else:
-        spec, coords = build_e6_coordinates("unramified_cubic", p, f)
-    cocycle = lattice_cocycle(rs, delta, case)
-    datum = ZeroToralDatum(rs, delta, cocycle, spec, p, q, n, depth, tuple(coords), case)
-
-    report = verify_datum(datum)
-    if not report.verdict:
+    q = p if q is None else q
+    case, spec, coords, cocycle = form_data(rs, delta, p, q, ramified)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    e = spec.ram_index
+    datum = ZeroToralDatum(rs, delta, cocycle, spec, p, q, n, Fraction(n * e + 1, e), coords, case)
+    if not verify_datum(datum).verdict:
         raise AssertionError(f"constructed datum failed verification: {rs_type}")
     return datum
 
@@ -556,29 +563,34 @@ def build_generic_element(
 # ---------------------------------------------------------------------------
 
 
+def twist_depth(depth: Fraction, i: int, p: int, m: int, e_F: int = 1) -> tuple[int, Fraction, int]:
+    """(u, depth - v(i), its window index) for i = p^t * u, 0 < i < p^m,
+    v(i) = t * e_F, in integers on depth = a/b in lowest terms: ValueError
+    unless 2(a - v b) > a (the window inequality r0 - v(i) > r_d / 2), and
+    the index of (a - v b)/b, again in lowest terms, is ceil((a - v b)/b) - 1."""
+    if not 0 < i < p**m:
+        raise ValueError("i must satisfy 0 < i < p^m")
+    t = kernel.vp(i, p)
+    a, b = depth.numerator, depth.denominator
+    a_new = a - t * e_F * b
+    if not 2 * a_new > a:
+        raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
+    return i // p**t, Fraction(a_new, b), -(-a_new // b) - 1
+
+
 def twist_datum(d: ZeroToralDatum, i: int, m: int, e_F: int = 1) -> ZeroToralDatum:
     """Scale a datum by the character power i = p^t * u, 0 < i < p^m.
 
     The depth drops by the normalized valuation v(i) = t * e_F; leading
     residues scale by the unit u.  The half-depth window inequality
-    r0 - v(i) > r_d / 2 is checked.
+    r0 - v(i) > r_d / 2 is checked (`twist_depth`).
 
     The twist is generic whenever the datum is, so genericity is not
     verified again.  Proof: each coroot row is linear in the coordinates,
     so scaling them by the unit u scales every row by u, and u*s is
     nonzero exactly when s is.
     """
-    p = d.p
-    if not 0 < i < p**m:
-        raise ValueError("i must satisfy 0 < i < p^m")
-    t = kernel.vp(i, p)
-    unit = i // p**t
-    v = Fraction(t * e_F)
-    r0 = rd = d.depth
-    if not r0 - v > rd / 2:
-        raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
+    unit, depth, n = twist_depth(d.depth, i, d.p, m, e_F)
     res = d.ext.residue
-    new_coords = tuple(res.smul(unit, c) for c in d.coords)
-    new_depth = d.depth - v
-    new_n = new_depth.__ceil__() - 1
-    return replace(d, coords=new_coords, depth=new_depth, n=new_n)
+    coords = d.coords if unit == 1 else tuple(res.smul(unit, c) for c in d.coords)
+    return ZeroToralDatum(d.rs, d.delta, d.cocycle, d.ext, d.p, d.q, n, depth, coords, d.case)

@@ -6,7 +6,8 @@ field's elements in encoding order and its norm as the product of the n
 conjugates; Weyl-element helpers (orders, images of coroots, eigenvalue
 exponents, the highest coroot, the Coxeter number of a product); the
 coroot set as a reflection closure; genericity rows as direct sums; the
-modulus search without its binomial skip; the transform-support check on
+depth window and twist checks in `Fraction` arithmetic; the modulus
+search without its binomial skip; the transform-support check on
 an arbitrary functional with its full enumeration; a congruence model's
 level group U_p, its character on every element of U_p by one walk over
 Gamma_p, its base set Delta\\(Gamma_S x Gamma_p) with the right action on
@@ -220,10 +221,8 @@ def genericity_by_sum(d: ZeroToralDatum) -> GenericityReport:
         for lam, a in zip(coroot.expansion, d.coords):
             if lam:
                 total = res.add(total, res.smul(lam, a))
-        rows.append(
-            CorootRow(coroot.expansion, res.element_to_json(total), not res.is_zero(total))
-        )
-    return GenericityReport(tuple(rows), ())
+        rows.append(CorootRow(coroot.expansion, total, not res.is_zero(total)))
+    return GenericityReport(tuple(rows), (), (), res)
 
 
 def smallest_irreducible_walk(field, n: int) -> tuple:
@@ -238,6 +237,33 @@ def smallest_irreducible_walk(field, n: int) -> tuple:
         if kernel.is_irreducible(field, modulus):
             return modulus
     raise ArithmeticError(f"no monic irreducible of degree {n} over F_{q}")
+
+
+# ---------------------------------------------------------------------------
+# depth windows and twists in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def window_by_fractions(n: int, depth: Fraction, e: int) -> tuple[Fraction, int]:
+    """A datum's depth checks as `Fraction` formulas: depth in (n, n + 1]
+    and depth * e(E/F) an integer; returns (depth, n)."""
+    if not (Fraction(n) < depth <= Fraction(n + 1)):
+        raise ValueError("depth outside the admissible window")
+    if (depth * e).denominator != 1:
+        raise ValueError("depth times e(E/F) must be an integer")
+    return depth, n
+
+
+def twist_depth_by_fractions(depth: Fraction, i: int, p: int, m: int, e_F: int) -> tuple:
+    """`toraldata.twist_depth` as `Fraction` formulas: (u, r0 - v(i), the
+    window index ceil(r0 - v(i)) - 1) after r0 - v(i) > r0 / 2 is checked."""
+    if not 0 < i < p**m:
+        raise ValueError("i must satisfy 0 < i < p^m")
+    t = kernel.vp(i, p)
+    v = Fraction(t * e_F)
+    if not depth - v > depth / 2:
+        raise ValueError("window inequality violated: r0 - v(i) <= r_d / 2")
+    return i // p**t, depth - v, (depth - v).__ceil__() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -613,6 +613,35 @@ def test_gamma_must_be_away_from_p():
         hecke_operator(model, (0, 1))
 
 
+def test_membership_lists_the_group_once(monkeypatch):
+    """1,000 membership tests in S_7 list the group once and read the list
+    once, not once per test."""
+    listed, walks = [], []
+
+    class Walked(tuple):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    inner = SymmetricGroup._elements
+    monkeypatch.setattr(SymmetricGroup, "_elements", lambda self: listed.append(1) or inner(self))
+    s7 = SymmetricGroup(7)
+    vars(s7)["elements"] = Walked(s7.elements)
+    perms = [tuple((i * k) % 7 for i in range(7)) for k in range(1, 7)]
+    assert all(perms[k % 6] in s7 for k in range(994))
+    assert not any(x in s7 for x in [(0,) * 7, tuple(range(6)), tuple(range(8)), (0, 1), 0, ()])
+    assert len(listed) == 1 and len(walks) == 1
+
+
+def test_hecke_operator_refuses_gamma_outside_gamma_s_once_listed():
+    model = builtin_cyclic_model(3, 1)
+    for gamma in model.gamma_s.elements:  # every member is accepted
+        assert hecke_operator(model, gamma).gamma == gamma
+    for gamma in [(0, 1), (0, 0, 1), (0, 1, 2, 3), ((1, 0, 2), 0), (1, 0, 2, 0), 0]:
+        with pytest.raises(ValueError, match="away-from-p"):
+            hecke_operator(model, gamma)
+
+
 # ---------------------------------------------------------------------------
 # theorem checks
 # ---------------------------------------------------------------------------

@@ -34,11 +34,12 @@ from forge.toraldata import (
     lattice_cocycle,
     residue_degree,
     twist_datum,
+    twist_depth,
     verify_datum,
     verify_galois_descent,
     verify_genericity,
 )
-from oracles import field_elements, genericity_by_sum
+from oracles import field_elements, genericity_by_sum, twist_depth_by_fractions, window_by_fractions
 
 T = RootSystemType.parse
 
@@ -234,7 +235,7 @@ def test_e6_ramified_datum_p13():
     # descent literally checks zeta * a_i = sum of the action row
     for row in rep.descent_rows:
         coord = d.coords[row.index - 1]
-        assert row.lhs == res.element_to_json(res.mul(zeta, coord))
+        assert row.lhs == res.mul(zeta, coord)
 
 
 E6_RAM_VALUE_SET = (
@@ -695,6 +696,64 @@ def test_twist_window_violation_and_precondition():
         twist_datum(d, 0, 1)
 
 
+# every depth a/b, b in {1, 2, 3}, in and around the windows (n, n + 1], n <= 6
+WINDOW_DEPTHS = sorted({Fraction(a, b) for b in (1, 2, 3) for a in range(-2 * b, 8 * b + 1)})
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_window_checks_in_integers_match_fractions():
+    """A datum's window and integrality checks, made on depth's numerator
+    and denominator, accept and refuse what the `Fraction` formulas do, and
+    the descent's unit factor uses the integer depth * e(E/F)."""
+    bases = [
+        build_generic_element(T("A1"), None, 13, 13, 1),  # e = 1
+        build_generic_element(T("A1"), None, 13, 13, 1, ramified=True),  # e = 2
+        build_generic_element(T("E6"), None, 13, 13, 1, ramified=True),  # e = 3
+    ]
+    accepted = 0
+    for base in bases:
+        e, res = base.ext.ram_index, base.ext.residue
+        for n in range(-1, 7):
+            for depth in WINDOW_DEPTHS:
+                want = outcome(window_by_fractions, n, depth, e)
+                got = outcome(lambda: replace(base, n=n, depth=depth))
+                if isinstance(got, ZeroToralDatum):
+                    accepted += 1
+                    got = got.depth, got.n
+                    c_eff = base.ext.residue.pow(base.ext.unif_ratio, int(depth * e))
+                    assert replace(base, n=n, depth=depth).descent_equations()[0][2] == c_eff
+                assert got == want, (e, n, depth)
+    assert accepted == 8 * (1 + 2 + 3)
+
+
+def test_twist_depth_in_integers_matches_fractions():
+    """`twist_depth` against the `Fraction` formulas on every i up to p^m,
+    p in {5, 7}, m <= 3, e_F <= 3, and every depth around the windows."""
+    twists = 0
+    for p in (5, 7):
+        for m in (1, 2, 3):
+            for i in range(p**m + 1):
+                for e_F in (1, 2, 3):
+                    for depth in WINDOW_DEPTHS:
+                        want = outcome(twist_depth_by_fractions, depth, i, p, m, e_F)
+                        assert outcome(twist_depth, depth, i, p, m, e_F) == want, (depth, i, p, m, e_F)
+                        twists += want[0] != "ValueError"
+    assert twists > 0
+
+
+def test_twist_by_unit_one_keeps_the_coordinates():
+    d = build_generic_element(T("B2"), None, 5, 5, 3)
+    td = twist_datum(d, 5, 2)
+    assert td.coords is d.coords and (td.depth, td.n) == (3, 2)
+    assert twist_datum(d, 4, 2).coords == tuple(d.ext.residue.smul(4, c) for c in d.coords)
+
+
 def test_assemble_mixed_case_factors_end_to_end():
     # three factor data in the same unit window at genuinely different
     # depths: n + 1/3 (ramified cubic) < n + 1/2 (ramified quadratic) < n + 1
@@ -803,9 +862,9 @@ def assert_rows_match_leading_term_fold(d, terms, rows):
     for row in rows:
         _, old = leading_term_fold(res, row.expansion, terms)
         if old is None:
-            assert row.residue == res.element_to_json(res.zero()) and not row.ok
+            assert row.residue == res.zero() and not row.ok
         else:
-            assert (row.residue, row.ok) == (res.element_to_json(old), not res.is_zero(old))
+            assert (row.residue, row.ok) == (old, not res.is_zero(old))
 
 
 # sha256 over the JSON of every datum and twist hashed below: it pins the
@@ -834,14 +893,7 @@ def test_full_sweep_q_p_and_p_squared():
                 if p**texp * u >= p**m:
                     continue
                 trep = verify_genericity(twist_datum(d, p**texp * u, m))
-                want = [
-                    (
-                        r.expansion,
-                        res.element_to_json(res.smul(u, res.element_from_json(r.residue))),
-                        r.ok,
-                    )
-                    for r in rep.coroot_rows
-                ]
+                want = [(r.expansion, res.smul(u, r.residue), r.ok) for r in rep.coroot_rows]
                 got = [(r.expansion, r.residue, r.ok) for r in trep.coroot_rows]
                 assert got == want, (str(t), p, q, n, p**texp * u)
                 twists += 1
@@ -850,6 +902,50 @@ def test_full_sweep_q_p_and_p_squared():
             digest.update(twist_datum(d, p - 1, 1).to_json().encode())
     assert twists == 744
     assert digest.hexdigest() == SWEEP_GOLDEN_SHA256
+
+
+# sha256 over the JSON of every datum below and of its verify report
+BUILD_VERIFY_SHA256 = "3670d4b6393b3cfc5f261811119e0acc35dfb3c15847015c3d42cab26a6d8af8"
+
+
+def pinned_datums() -> list[ZeroToralDatum]:
+    """The sweep grid's datums; the `--ramified` datums beside it (Case1-ram
+    at each type's first grid prime, E6-ram at p = 19, n = 1, 2); and per
+    case, its first datum with the middle simple-coroot residue zeroed."""
+    config = SweepConfig(types=tuple(all_irreducible_types(8)), q_exponents=(1, 2))
+    out, first_prime = [], {}
+    for t, p, q, n in config.grid()[0]:
+        first_prime.setdefault(t, p)
+        out.append(build_generic_element(t, None, p, q, n))
+    e6 = (T("E6"), 19)
+    for t, p in [*first_prime.items(), e6]:
+        for n in (1, 2):
+            d = build_generic_element(t, None, p, p, n, ramified=True)
+            if d.case == "Case1-ram" or (t, p) == e6:
+                out.append(d)
+    zeroed = {}
+    for d in out:
+        if d.case not in zeroed:
+            coords = list(d.coords)
+            coords[d.rs.rank // 2] = d.ext.residue.zero()
+            zeroed[d.case] = replace(d, coords=tuple(coords))
+    assert sorted(zeroed) == sorted(CASE_KINDS)
+    return out + list(zeroed.values())
+
+
+def test_build_and_verify_bytes_pinned():
+    """`build_generic_element`, `to_json` and `verify_datum(...).to_json()`
+    give the same bytes on every pinned datum, failing ones included."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    verdicts = []
+    for d in pinned_datums():
+        rep = verify_datum(d)
+        verdicts.append(rep.verdict)
+        digest.update(d.to_json().encode() + b"\n" + rep.to_json().encode() + b"\n")
+    assert len(verdicts) == 248 + 44 + 6 and verdicts.count(False) == 6
+    assert digest.hexdigest() == BUILD_VERIFY_SHA256
 
 
 # one datum per family, with both E6 extensions and the largest coroot set
